@@ -31,7 +31,13 @@ Every diagnostic references a rule ID documented in ``docs/ANNOTATIONS.md``.
 
 from repro.analysis.extract import KernelTrace, OpEvent, extract
 from repro.analysis.hb import HBAnalysis, analyze_hb
-from repro.analysis.lint import Finding, LintReport, lint_machine, lint_trace
+from repro.analysis.lint import (
+    Finding,
+    LintReport,
+    lint_machine,
+    lint_trace,
+    render_report,
+)
 from repro.analysis.rules import (
     MODEL_PROFILES,
     RULES,
@@ -50,6 +56,7 @@ __all__ = [
     "LintReport",
     "lint_machine",
     "lint_trace",
+    "render_report",
     "RULES",
     "Rule",
     "ModelLintProfile",

@@ -188,25 +188,32 @@ class LintReport:
         }
 
     def render(self) -> str:
-        """Human-readable report text."""
-        head = (
-            f"{self.name or 'kernel'} [{self.config or 'default'}]: "
-            f"{self.errors} error(s), {self.warnings} warning(s) "
-            f"({self.edges} communication edge(s) over {self.events} op(s))"
-        )
-        if self.model != "base":
-            head += f" [model {self.model}: {self.waived} waived]"
-        lines = [head]
-        for f in self.findings:
-            lines.append(f"  {f.severity:7s} {f.rule_id:9s} {f.message}")
-            where = []
-            if f.producer_site:
-                where.append(f"producer at {f.producer_site}")
-            if f.consumer_site:
-                where.append(f"consumer at {f.consumer_site}")
-            if where:
-                lines.append(" " * 20 + "; ".join(where))
-        return "\n".join(lines)
+        """Human-readable report text (see :func:`render_report`)."""
+        return render_report(self.to_dict())
+
+
+def render_report(doc: dict[str, Any]) -> str:
+    """Human-readable text of one :meth:`LintReport.to_dict` document."""
+    summary = doc["summary"]
+    head = (
+        f"{doc['name'] or 'kernel'} [{doc['config'] or 'default'}]: "
+        f"{summary['errors']} error(s), {summary['warnings']} warning(s) "
+        f"({summary['edges']} communication edge(s) over "
+        f"{summary['events']} op(s))"
+    )
+    if doc["model"] != "base":
+        head += f" [model {doc['model']}: {summary['waived']} waived]"
+    lines = [head]
+    for f in doc["findings"]:
+        lines.append(f"  {f['severity']:7s} {f['rule']:9s} {f['message']}")
+        where = []
+        if f["producer_site"]:
+            where.append(f"producer at {f['producer_site']}")
+        if f["consumer_site"]:
+            where.append(f"consumer at {f['consumer_site']}")
+        if where:
+            lines.append(" " * 20 + "; ".join(where))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

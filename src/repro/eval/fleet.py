@@ -36,8 +36,8 @@ from repro.core.config import (
     INTRA_HCC,
     ExperimentConfig,
 )
-from repro.eval.parallel import SweepCell, SweepExecutor
-from repro.workloads.gen import ScenarioSpec, lint_scenario, sample_specs
+from repro.eval.parallel import SweepCell
+from repro.workloads.gen import ScenarioSpec, lint_scenario
 
 #: Software-coherent configurations a fleet sweeps by default — the two
 #: ends of the Table II intra spectrum (plain Base and fully buffered).
@@ -55,8 +55,8 @@ def fleet_cells(
     Per scenario: one HCC reference cell, then one cell per
     (config × engine), giving a fixed stride of
     ``1 + len(configs) * len(engines)`` that :func:`fleet_verdict`
-    re-slices.  Exposed separately so the job server can shard the same
-    cells across its worker pool and fold them back with the same verdict.
+    re-slices.  The ``fleet`` job kind
+    (:func:`repro.serve.jobs.compile_job`) lowers to exactly these cells.
     """
     if not specs:
         raise ConfigError("fleet needs at least one scenario")
@@ -92,7 +92,6 @@ def fleet_verdict(
     configs: Sequence[ExperimentConfig] = DEFAULT_FLEET_CONFIGS,
     engines: Sequence[str] = ("ref",),
     lint: bool = True,
-    sweep_summary: str = "",
 ) -> dict:
     """Fold per-cell results (in :func:`fleet_cells` order) into the verdict."""
     stride = 1 + len(configs) * len(engines)
@@ -153,55 +152,5 @@ def fleet_verdict(
         "engine_mismatches": engine_mismatches,
         "lint_violations": lint_violations,
         "clean": not (oracle_divergences or engine_mismatches or lint_violations),
-        "sweep": sweep_summary,
         "details": details,
     }
-
-
-def run_fleet(
-    specs: Sequence[ScenarioSpec],
-    *,
-    configs: Sequence[ExperimentConfig] = DEFAULT_FLEET_CONFIGS,
-    engines: Sequence[str] = ("ref",),
-    executor: SweepExecutor | None = None,
-    lint: bool = True,
-) -> dict:
-    """Run the scenario fleet; return the JSON-safe verdict document.
-
-    ``configs`` must be software-coherent (the HCC reference is implicit);
-    ``engines`` are registry names (:mod:`repro.engines`).  Every cell
-    requests a memory digest and runs with ``verify=True``, so a scenario
-    whose image deviates from its analytic oracle raises immediately; the
-    verdict additionally cross-compares digests (oracle) and stats+digest
-    pairs (engines) and records per-scenario detail.  Composes
-    :func:`fleet_cells` + one :meth:`SweepExecutor.run_cells` call +
-    :func:`fleet_verdict` — the job server runs the same two pure halves
-    around its own worker pool.
-    """
-    executor = executor or SweepExecutor()
-    cells = fleet_cells(specs, configs=configs, engines=engines)
-    results = executor.run_cells(cells)
-    return fleet_verdict(
-        specs, results, configs=configs, engines=engines, lint=lint,
-        sweep_summary=executor.stats.summary(),
-    )
-
-
-def run_default_fleet(
-    num_scenarios: int,
-    *,
-    seed: int | None = None,
-    configs: Sequence[ExperimentConfig] = DEFAULT_FLEET_CONFIGS,
-    engines: Sequence[str] = ("ref",),
-    executor: SweepExecutor | None = None,
-    lint: bool = True,
-) -> dict:
-    """Convenience wrapper: sample ``num_scenarios`` specs and run them."""
-    from repro.common.rng import DEFAULT_SEED
-
-    specs = sample_specs(
-        num_scenarios, seed=DEFAULT_SEED if seed is None else seed
-    )
-    return run_fleet(
-        specs, configs=configs, engines=engines, executor=executor, lint=lint
-    )

@@ -56,9 +56,9 @@ from repro.core.config import (
     INTRA_HCC,
     ExperimentConfig,
 )
-from repro.eval.parallel import SweepCell, SweepExecutor
+from repro.eval.parallel import SweepCell
 from repro.eval.runner import RunResult
-from repro.faults.model import FaultPlan, random_plans
+from repro.faults.model import FaultPlan
 
 #: Lock-free (hence timing-independent) workload targets the default chaos
 #: sweep uses, besides the determinate litmus kernels.  ``is`` rather than
@@ -247,7 +247,6 @@ class ChaosResult:
 
     plans: list[FaultPlan]
     outcomes: list[TargetOutcome]
-    sweep_summary: str = ""
 
     @property
     def divergences(self) -> dict[str, list[str]]:
@@ -271,8 +270,8 @@ def chaos_cells(
 
     Per target: the HCC reference, the fault-free baseline, then one cell
     per plan — a fixed stride of ``2 + len(plans)`` that
-    :func:`assemble_chaos` re-slices.  Exposed separately so the job
-    server can shard the same cells across its worker pool.
+    :func:`assemble_chaos` re-slices.  The ``chaos`` job kind
+    (:func:`repro.serve.jobs.compile_job`) lowers to exactly these cells.
     """
     if not targets:
         raise ConfigError("chaos needs at least one target")
@@ -288,8 +287,6 @@ def assemble_chaos(
     targets: Sequence[ChaosTarget],
     plans: Sequence[FaultPlan],
     results: Sequence[RunResult],
-    *,
-    sweep_summary: str = "",
 ) -> ChaosResult:
     """Fold per-cell results (in :func:`chaos_cells` order) into a result."""
     outcomes = []
@@ -299,45 +296,4 @@ def assemble_chaos(
         outcomes.append(
             TargetOutcome(target, chunk[0], chunk[1], list(chunk[2:]))
         )
-    return ChaosResult(list(plans), outcomes, sweep_summary)
-
-
-def run_chaos(
-    targets: Sequence[ChaosTarget],
-    plans: Sequence[FaultPlan],
-    *,
-    executor: SweepExecutor | None = None,
-) -> ChaosResult:
-    """Run every target × (HCC, fault-free, every plan); digest-compare.
-
-    All cells go through one :meth:`SweepExecutor.run_cells` call, so the
-    whole chaos matrix parallelizes and caches like any other sweep.
-    Composes :func:`chaos_cells` + the executor + :func:`assemble_chaos`;
-    the job server runs the same two pure halves around its worker pool.
-    """
-    executor = executor or SweepExecutor()
-    cells = chaos_cells(targets, plans)
-    results = executor.run_cells(cells)
-    return assemble_chaos(
-        targets, plans, results, sweep_summary=executor.stats.summary()
-    )
-
-
-def run_default_chaos(
-    *,
-    num_plans: int = 10,
-    seed: int | None = None,
-    kinds=None,
-    workloads: Sequence[str] | None = None,
-    scale: float = 0.5,
-    model: str | None = None,
-    executor: SweepExecutor | None = None,
-) -> ChaosResult:
-    """Convenience wrapper: default targets × ``num_plans`` random plans."""
-    from repro.common.rng import DEFAULT_SEED
-
-    plans = random_plans(
-        num_plans, seed=DEFAULT_SEED if seed is None else seed, kinds=kinds
-    )
-    targets = default_targets(workloads, scale=scale, model=model)
-    return run_chaos(targets, plans, executor=executor)
+    return ChaosResult(list(plans), outcomes)

@@ -97,12 +97,14 @@ def summarize(result: ChaosResult) -> dict:
         "kinds": kinds,
         "buffers": buffers,
         "per_target": targets,
-        "sweep": result.sweep_summary,
     }
 
 
-def render_text(summary: dict) -> str:
-    """Human-readable chaos report over a :func:`summarize` dict."""
+def render_text(summary: dict, sweep: str = "") -> str:
+    """Human-readable chaos report over a :func:`summarize` dict.
+
+    *sweep*, when given, closes the report (the executor's run summary).
+    """
     lines = [
         "Chaos sweep: "
         f"{summary['targets']} target(s) x {summary['plans']} plan(s) "
@@ -150,8 +152,8 @@ def render_text(summary: dict) -> str:
         lines.append(
             f"  {t['target']:<34}{t['worst_slowdown']:>8.3f}x{flag}"
         )
-    if summary.get("sweep"):
-        lines += ["", summary["sweep"]]
+    if sweep:
+        lines += ["", sweep]
     return "\n".join(lines) + "\n"
 
 

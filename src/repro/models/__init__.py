@@ -93,6 +93,11 @@ def available_models() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
+def software_models() -> tuple[str, ...]:
+    """Registered models that consume WB/INV annotations (all but ``hcc``)."""
+    return tuple(name for name, spec in _REGISTRY.items() if spec.software)
+
+
 def resolve_model(name: str | None = None) -> ModelSpec:
     """Resolve a model by *name*, the environment, or the default.
 

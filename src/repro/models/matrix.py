@@ -30,7 +30,7 @@ the persistent result cache (which keys on the model id — see
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.common.errors import ConfigError
@@ -38,12 +38,6 @@ from repro.core.config import INTER_ADDR_L, INTER_HCC, INTRA_BMI, INTRA_HCC
 
 #: Grid schema version for the ``--json`` artifact.
 MATRIX_SCHEMA = 1
-
-#: Default model axis: every registered model, registry order.
-DEFAULT_MODELS = ("base", "hcc", "rc", "sisd")
-
-#: Default engine axis: both registered simulator cores.
-DEFAULT_ENGINES = ("ref", "fast")
 
 #: (model, kernel) pairs whose final-memory digest is *expected* to diverge
 #: from the HCC oracle.  Everything else — determinate kernels under every
@@ -84,81 +78,22 @@ class MatrixCell:
         }
 
 
-@dataclass
-class MatrixResult:
-    """The full grid plus the per-kernel oracle digests."""
-
-    models: tuple[str, ...]
-    kernels: tuple[str, ...]
-    engines: tuple[str, ...]
-    cells: list[MatrixCell]
-    oracle: dict[str, str] = field(default_factory=dict)
-    sweep_summary: str = ""
-
-    def cell(self, model: str, kernel: str, engine: str) -> MatrixCell:
-        for c in self.cells:
-            if (c.model, c.kernel, c.engine) == (model, kernel, engine):
-                return c
-        raise KeyError((model, kernel, engine))
-
-    def unexpected(self) -> list[MatrixCell]:
-        """Cells whose verdict disagrees with :data:`EXPECTED_DIVERGENCES`."""
-        return [c for c in self.cells if c.unexpected]
-
-    @property
-    def ok(self) -> bool:
-        """True when every cell matched its expectation."""
-        return not self.unexpected()
-
-    def model_exec_medians(self) -> dict[str, int]:
-        """Per-model median simulated exec time across the grid (cycles)."""
-        per: dict[str, list[int]] = {m: [] for m in self.models}
-        for c in self.cells:
-            per[c.model].append(c.exec_time)
-        return {
-            m: int(statistics.median(times)) for m, times in per.items() if times
-        }
-
-    def to_dict(self) -> dict:
-        """JSON-safe grid: ``grid[model][kernel][engine]`` plus summaries."""
-        grid: dict[str, dict[str, dict[str, dict]]] = {}
-        for c in self.cells:
-            grid.setdefault(c.model, {}).setdefault(c.kernel, {})[
-                c.engine
-            ] = c.to_dict()
-        return {
-            "schema": MATRIX_SCHEMA,
-            "models": list(self.models),
-            "kernels": list(self.kernels),
-            "engines": list(self.engines),
-            "grid": grid,
-            "oracle": dict(self.oracle),
-            "unexpected": [
-                {
-                    "model": c.model,
-                    "kernel": c.kernel,
-                    "engine": c.engine,
-                    "verdict": c.verdict,
-                    "expected": c.expected,
-                }
-                for c in self.unexpected()
-            ],
-            "model_exec_medians": self.model_exec_medians(),
-            "ok": self.ok,
-            "sweep": self.sweep_summary,
-        }
-
-
-def _validate_axes(
+def matrix_axes(
     models: Sequence[str] | None,
     kernels: Sequence[str] | None,
     engines: Sequence[str] | None,
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    from repro.engines import resolve_engine
-    from repro.models import resolve_model
+    """Validate the grid axes; empty axes default to every registered name.
+
+    Models and engines default to their registries (registration order),
+    kernels to the whole litmus registry.  Unknown names and duplicate
+    models raise :class:`~repro.common.errors.ConfigError`.
+    """
+    from repro.engines import available_engines, resolve_engine
+    from repro.models import available_models, resolve_model
     from repro.workloads.litmus import LITMUS
 
-    models = tuple(models) if models else DEFAULT_MODELS
+    models = tuple(models) if models else available_models()
     for m in models:
         resolve_model(m)  # raises ConfigError on unknown names
     if len(set(models)) != len(models):
@@ -167,7 +102,7 @@ def _validate_axes(
     for k in kernels:
         if k not in LITMUS:
             raise ConfigError(f"unknown litmus kernel {k!r}")
-    engines = tuple(engines) if engines else DEFAULT_ENGINES
+    engines = tuple(engines) if engines else available_engines()
     for e in engines:
         resolve_engine(e)
     return models, kernels, engines
@@ -186,8 +121,9 @@ def matrix_cells(
     reference engine — rides in the *same* batch (deduplicated against the
     grid's own ``hcc``/``ref`` cells when present), so a cached or pooled
     run prices the whole matrix identically.  The serve layer feeds these
-    cells to its own executor and folds results via
-    :func:`assemble_matrix`; :func:`run_matrix` is the direct path.
+    cells to its own worker pool, the CLI to one
+    :class:`~repro.eval.parallel.SweepExecutor` batch, and both fold the
+    results via :func:`assemble_matrix`.
     """
     from repro.eval.parallel import SweepCell
     from repro.workloads.litmus import LITMUS
@@ -234,115 +170,107 @@ def assemble_matrix(
     oracle_idx: dict,
     grid_idx: dict,
     results: list,
-    *,
-    sweep_summary: str = "",
-) -> MatrixResult:
-    """Fold the batch results of :func:`matrix_cells` into a grid."""
+) -> dict:
+    """Fold the batch results of :func:`matrix_cells` into the grid document.
+
+    JSON-safe: ``grid[model][kernel][engine]`` holds one
+    :meth:`MatrixCell.to_dict`, plus the per-kernel ``oracle`` digests, the
+    ``unexpected`` cells, per-model ``model_exec_medians`` (cycles) and the
+    overall ``ok`` verdict.
+    """
     oracle = {k: results[i].memory_digest for k, i in oracle_idx.items()}
-    out: list[MatrixCell] = []
+    grid: dict[str, dict[str, dict[str, dict]]] = {}
+    unexpected: list[dict] = []
+    times: dict[str, list[int]] = {m: [] for m in models}
     for (m, k, e), i in grid_idx.items():
         r = results[i]
-        verdict = "match" if r.memory_digest == oracle[k] else "diverge"
-        expected = (
-            "diverge" if (m, k) in EXPECTED_DIVERGENCES else "match"
+        cell = MatrixCell(
+            model=m,
+            kernel=k,
+            engine=e,
+            verdict="match" if r.memory_digest == oracle[k] else "diverge",
+            expected="diverge" if (m, k) in EXPECTED_DIVERGENCES else "match",
+            exec_time=r.exec_time,
+            digest=r.memory_digest,
         )
-        out.append(
-            MatrixCell(
-                model=m,
-                kernel=k,
-                engine=e,
-                verdict=verdict,
-                expected=expected,
-                exec_time=r.exec_time,
-                digest=r.memory_digest,
-            )
-        )
-    return MatrixResult(
-        models=tuple(models),
-        kernels=tuple(kernels),
-        engines=tuple(engines),
-        cells=out,
-        oracle=oracle,
-        sweep_summary=sweep_summary,
-    )
+        grid.setdefault(m, {}).setdefault(k, {})[e] = cell.to_dict()
+        times[m].append(r.exec_time)
+        if cell.unexpected:
+            unexpected.append({
+                "model": m,
+                "kernel": k,
+                "engine": e,
+                "verdict": cell.verdict,
+                "expected": cell.expected,
+            })
+    return {
+        "schema": MATRIX_SCHEMA,
+        "models": list(models),
+        "kernels": list(kernels),
+        "engines": list(engines),
+        "grid": grid,
+        "oracle": oracle,
+        "unexpected": unexpected,
+        "model_exec_medians": {
+            m: int(statistics.median(t)) for m, t in times.items() if t
+        },
+        "ok": not unexpected,
+    }
 
 
-def run_matrix(
-    models: Sequence[str] | None = None,
-    kernels: Sequence[str] | None = None,
-    engines: Sequence[str] | None = None,
-    *,
-    jobs: int | None = None,
-    executor=None,
-) -> MatrixResult:
-    """Run the (model × kernel × engine) grid through one sweep batch."""
-    from repro.eval.parallel import SweepExecutor
+def render_matrix(doc: dict, sweep: str = "") -> str:
+    """Text grid over an :func:`assemble_matrix` document.
 
-    models, kernels, engines = _validate_axes(models, kernels, engines)
-    executor = executor or SweepExecutor(jobs=jobs)
-    cells, oracle_idx, grid_idx = matrix_cells(models, kernels, engines)
-    results = executor.run_cells(cells)
-    return assemble_matrix(
-        models, kernels, engines, oracle_idx, grid_idx, results,
-        sweep_summary=executor.stats.summary(),
-    )
-
-
-def render_matrix(result: MatrixResult) -> str:
-    """Text grid: one row per kernel, one column per model.
-
-    Each cell shows one glyph per engine (axis order): ``=`` digest matches
-    the HCC oracle, ``x`` expected divergence, ``!`` unexpected verdict.
+    One row per kernel, one column per model; each cell shows one glyph
+    per engine (axis order): ``=`` digest matches the HCC oracle, ``x``
+    expected divergence, ``!`` unexpected verdict.  *sweep*, when given,
+    is appended as the closing line (the executor's run summary).
     """
-    def glyph(c: MatrixCell) -> str:
-        if c.unexpected:
+    def glyph(cell: dict) -> str:
+        if cell["unexpected"]:
             return "!"
-        return "=" if c.verdict == "match" else "x"
+        return "=" if cell["verdict"] == "match" else "x"
 
-    by_key = {(c.model, c.kernel, c.engine): c for c in result.cells}
-    name_w = max(len("kernel"), max((len(k) for k in result.kernels), default=0))
-    col_w = max(
-        len(result.engines) + 1,
-        max((len(m) for m in result.models), default=0) + 1,
-    )
+    models, kernels, engines = doc["models"], doc["kernels"], doc["engines"]
+    name_w = max(len("kernel"), max((len(k) for k in kernels), default=0))
+    col_w = max(len(engines) + 1, max((len(m) for m in models), default=0) + 1)
     lines = [
         "memory-model litmus matrix "
-        f"({len(result.models)} model(s) x {len(result.kernels)} kernel(s) "
-        f"x {len(result.engines)} engine(s); "
-        f"glyph per engine {'/'.join(result.engines)}: "
+        f"({len(models)} model(s) x {len(kernels)} kernel(s) "
+        f"x {len(engines)} engine(s); "
+        f"glyph per engine {'/'.join(engines)}: "
         "'=' match, 'x' expected divergence, '!' unexpected)",
-        "kernel".ljust(name_w)
-        + "".join(m.rjust(col_w) for m in result.models),
+        "kernel".ljust(name_w) + "".join(m.rjust(col_w) for m in models),
     ]
-    for k in result.kernels:
+    for k in kernels:
         row = k.ljust(name_w)
-        for m in result.models:
-            glyphs = "".join(
-                glyph(by_key[(m, k, e)]) for e in result.engines
-            )
-            row += glyphs.rjust(col_w)
+        for m in models:
+            row += "".join(
+                glyph(doc["grid"][m][k][e]) for e in engines
+            ).rjust(col_w)
         lines.append(row)
-    medians = result.model_exec_medians()
+    medians = doc["model_exec_medians"]
     lines.append(
         "median exec (cycles): "
-        + ", ".join(f"{m}={medians[m]}" for m in result.models if m in medians)
+        + ", ".join(f"{m}={medians[m]}" for m in models if m in medians)
     )
-    bad = result.unexpected()
+    bad = doc["unexpected"]
     if bad:
         lines.append(f"UNEXPECTED verdicts: {len(bad)}")
         for c in bad:
             lines.append(
-                f"  {c.model} x {c.kernel} x {c.engine}: "
-                f"{c.verdict} (expected {c.expected})"
+                f"  {c['model']} x {c['kernel']} x {c['engine']}: "
+                f"{c['verdict']} (expected {c['expected']})"
             )
     else:
         lines.append("all verdicts as expected")
-    lines.append(result.sweep_summary)
+    if sweep:
+        lines.append(sweep)
     return "\n".join(lines)
 
 
 def matrix_bench_payload(
-    result: MatrixResult, seconds: list[float], *, warmup: int = 0
+    doc: dict, seconds: list[float], *, warmup: int = 0
 ) -> dict:
     """``BENCH_matrix.json`` payload: wall clock + per-model exec medians."""
     from repro.eval.bench import record
@@ -352,11 +280,12 @@ def matrix_bench_payload(
         seconds,
         warmup=warmup,
         extra={
-            "models": list(result.models),
-            "kernels": len(result.kernels),
-            "engines": list(result.engines),
-            "cells": len(result.cells),
-            "model_exec_medians": result.model_exec_medians(),
-            "ok": result.ok,
+            "models": doc["models"],
+            "kernels": len(doc["kernels"]),
+            "engines": doc["engines"],
+            "cells": len(doc["models"]) * len(doc["kernels"])
+            * len(doc["engines"]),
+            "model_exec_medians": doc["model_exec_medians"],
+            "ok": doc["ok"],
         },
     )

@@ -34,17 +34,22 @@ def test_lint_litmus_cross_validation_exits_zero():
 
 def test_lint_json_report_shape(capsys):
     assert main(["lint", "mp_barrier", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "lint" and doc["clean"] is True
+    payload = doc["reports"]["mp_barrier"]
     assert payload["name"] == "mp_barrier"
     assert payload["summary"]["errors"] == 0
     assert payload["findings"] == []
     assert payload["machine"]["threads"] == 4
+    # litmus targets carry their documented expectation
+    assert payload["expected_rules"] == [] and payload["as_expected"] is True
 
 
 def test_lint_json_error_findings(capsys):
     assert main(["lint", "missing_wb_barrier", "--json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    (finding,) = payload["findings"]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["clean"] is False
+    (finding,) = doc["reports"]["missing_wb_barrier"]["findings"]
     assert finding["rule"] == "WB-BAR"
     assert finding["severity"] == "error"
 

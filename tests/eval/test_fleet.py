@@ -1,4 +1,8 @@
-"""Unit tests for the auto-checked scenario fleet (repro.eval.fleet)."""
+"""Unit tests for the auto-checked scenario fleet (repro.eval.fleet).
+
+Fleets run as ``fleet`` jobs: :func:`repro.serve.jobs.compile_job` lowers
+the spec, :func:`repro.serve.jobs.run_job` runs it on a local executor.
+"""
 
 from __future__ import annotations
 
@@ -7,23 +11,28 @@ import json
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.core.config import INTRA_BASE, INTRA_BMI, INTRA_HCC
-from repro.eval.fleet import run_default_fleet, run_fleet
+from repro.core.config import INTRA_HCC
+from repro.eval.fleet import fleet_cells
 from repro.eval.parallel import SweepExecutor
-from repro.workloads.gen import ScenarioSpec, sample_specs
+from repro.serve.jobs import JobError, compile_job, run_job
+from repro.workloads.gen import sample_specs
 
 
 def _specs(n=2, seed=123):
     return sample_specs(n, seed=seed)
 
 
+def run_fleet(executor=None, **spec):
+    """Run one ``fleet`` job (default seed 123) and return its verdict."""
+    spec.setdefault("seed", 123)
+    job = compile_job({"kind": "fleet", "spec": spec})
+    return run_job(job, executor or SweepExecutor(jobs=1))
+
+
 def test_fleet_verdict_is_clean_and_complete():
     specs = _specs(3)
     verdict = run_fleet(
-        specs,
-        configs=(INTRA_BASE, INTRA_BMI),
-        engines=("ref", "fast"),
-        executor=SweepExecutor(jobs=1),
+        scenarios=3, configs=["Base", "B+M+I"], engines=["ref", "fast"],
     )
     assert verdict["clean"] is True
     assert verdict["scenarios"] == 3
@@ -43,18 +52,13 @@ def test_fleet_verdict_is_clean_and_complete():
 
 
 def test_fleet_verdict_is_json_serializable():
-    verdict = run_fleet(
-        _specs(1), configs=(INTRA_BMI,), executor=SweepExecutor(jobs=1)
-    )
+    verdict = run_fleet(scenarios=1, configs=["B+M+I"])
     again = json.loads(json.dumps(verdict, sort_keys=True))
     assert again["clean"] is True
 
 
 def test_fleet_lint_can_be_skipped():
-    verdict = run_fleet(
-        _specs(1), configs=(INTRA_BMI,), executor=SweepExecutor(jobs=1),
-        lint=False,
-    )
+    verdict = run_fleet(scenarios=1, configs=["B+M+I"], lint=False)
     assert verdict["lint_checks"] == 0
     assert verdict["lint_violations"] == 0
     assert verdict["clean"] is True
@@ -62,20 +66,23 @@ def test_fleet_lint_can_be_skipped():
 
 def test_fleet_rejects_bad_inputs():
     with pytest.raises(ConfigError, match="at least one scenario"):
-        run_fleet([])
+        fleet_cells([])
     with pytest.raises(ConfigError, match="at least one engine"):
-        run_fleet(_specs(1), engines=())
+        fleet_cells(_specs(1), engines=())
     with pytest.raises(ConfigError, match="software-coherent"):
-        run_fleet(_specs(1), configs=(INTRA_HCC,))
+        fleet_cells(_specs(1), configs=(INTRA_HCC,))
+    # The job lowering surfaces the same checks as 400s.
+    with pytest.raises(JobError, match="software-coherent"):
+        run_fleet(scenarios=1, configs=["HCC"])
+    with pytest.raises(JobError, match="scenarios"):
+        run_fleet(scenarios=0)
+    with pytest.raises(JobError, match="engines"):
+        run_fleet(scenarios=1, engines=[])
 
 
 def test_run_default_fleet_samples_reproducibly():
-    a = run_default_fleet(
-        2, seed=99, configs=(INTRA_BMI,), executor=SweepExecutor(jobs=1)
-    )
-    b = run_default_fleet(
-        2, seed=99, configs=(INTRA_BMI,), executor=SweepExecutor(jobs=1)
-    )
+    a = run_fleet(scenarios=2, seed=99, configs=["B+M+I"])
+    b = run_fleet(scenarios=2, seed=99, configs=["B+M+I"])
     assert a["details"][0]["digest"] == b["details"][0]["digest"]
     assert [d["scenario"] for d in a["details"]] == [
         d["scenario"] for d in b["details"]
@@ -84,9 +91,6 @@ def test_run_default_fleet_samples_reproducibly():
 
 def test_fleet_detects_a_divergent_cell(monkeypatch):
     """A corrupted digest must flip the verdict dirty (oracle + engine)."""
-    import repro.eval.fleet as fleet_mod
-
-    specs = _specs(1)
     real_run_cells = SweepExecutor.run_cells
 
     def corrupt(self, cells):
@@ -100,9 +104,8 @@ def test_fleet_detects_a_divergent_cell(monkeypatch):
         return results
 
     monkeypatch.setattr(SweepExecutor, "run_cells", corrupt)
-    verdict = fleet_mod.run_fleet(
-        specs, configs=(INTRA_BMI,), engines=("ref", "fast"),
-        executor=SweepExecutor(jobs=1), lint=False,
+    verdict = run_fleet(
+        scenarios=1, configs=["B+M+I"], engines=["ref", "fast"], lint=False,
     )
     assert verdict["oracle_divergences"] == 1
     assert verdict["engine_mismatches"] == 1
@@ -116,18 +119,13 @@ def test_gen_cells_cache_per_engine(tmp_path):
     from repro.eval.cache import ResultCache
 
     cache = ResultCache(tmp_path)
-    spec = ScenarioSpec(pattern="migratory", seed=2)
+    spec = {"scenarios": 1, "seed": 2, "configs": ["B+M+I"],
+            "engines": ["ref", "fast"], "lint": False}
     ex = SweepExecutor(jobs=1, cache=cache)
-    run_fleet(
-        [spec], configs=(INTRA_BMI,), engines=("ref", "fast"), executor=ex,
-        lint=False,
-    )
+    run_fleet(ex, **spec)
     assert len(cache) == 3  # HCC reference + one per engine
     assert ex.stats.cache_misses == 3
     ex2 = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
-    run_fleet(
-        [spec], configs=(INTRA_BMI,), engines=("ref", "fast"), executor=ex2,
-        lint=False,
-    )
+    run_fleet(ex2, **spec)
     assert ex2.stats.cache_hits == 3
     assert ex2.stats.simulated == 0

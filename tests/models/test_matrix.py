@@ -1,30 +1,37 @@
-"""Unit tests for the litmus-matrix harness (`repro.models.matrix`)."""
+"""Unit tests for the litmus-matrix harness (`repro.models.matrix`).
+
+The grid runs as a ``litmus`` job with ``matrix: true``:
+:func:`repro.serve.jobs.compile_job` lowers it and
+:func:`repro.serve.jobs.run_job` returns the grid document.
+"""
 
 import pytest
 
-from repro.common.errors import ConfigError
 from repro.eval.parallel import SweepExecutor
 from repro.models.matrix import (
-    DEFAULT_ENGINES,
-    DEFAULT_MODELS,
     EXPECTED_DIVERGENCES,
     MatrixCell,
+    matrix_axes,
     matrix_cells,
     render_matrix,
-    run_matrix,
 )
+from repro.serve.jobs import JobError, compile_job, run_job
 
 KERNELS = ("mp_flag", "lock_handoff_three_threads_broken")
 
 
+def run_matrix(models, kernels, engines, executor=None):
+    """Run one matrix job and return its grid document."""
+    job = compile_job({"kind": "litmus", "spec": {
+        "matrix": True, "models": models, "kernels": kernels,
+        "engines": engines,
+    }})
+    return run_job(job, executor or SweepExecutor(cache=None))
+
+
 @pytest.fixture(scope="module")
 def small_matrix():
-    return run_matrix(
-        ["base", "rc", "sisd"],
-        list(KERNELS),
-        ["ref"],
-        executor=SweepExecutor(cache=None),
-    )
+    return run_matrix(["base", "rc", "sisd"], list(KERNELS), ["ref"])
 
 
 class TestCellLowering:
@@ -57,18 +64,19 @@ class TestCellLowering:
 
 class TestRunMatrix:
     def test_small_grid_is_clean(self, small_matrix):
-        assert small_matrix.ok
-        assert small_matrix.unexpected() == []
+        assert small_matrix["ok"]
+        assert small_matrix["unexpected"] == []
 
     def test_expected_divergence_is_present(self, small_matrix):
         broken = "lock_handoff_three_threads_broken"
+        grid = small_matrix["grid"]
         for model in ("base", "rc"):
-            c = small_matrix.cell(model, broken, "ref")
-            assert c.verdict == "diverge" and not c.unexpected
-        assert small_matrix.cell("sisd", broken, "ref").verdict == "match"
+            c = grid[model][broken]["ref"]
+            assert c["verdict"] == "diverge" and not c["unexpected"]
+        assert grid["sisd"][broken]["ref"]["verdict"] == "match"
 
     def test_to_dict_grid_shape(self, small_matrix):
-        doc = small_matrix.to_dict()
+        doc = small_matrix
         assert doc["ok"] is True
         assert set(doc["grid"]) == {"base", "rc", "sisd"}
         assert set(doc["grid"]["base"]) == set(KERNELS)
@@ -89,13 +97,13 @@ class TestRunMatrix:
         assert rows["lock_handoff_three_threads_broken"] == ["x", "x", "="]
 
     def test_validation_rejects_unknowns(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(JobError):
             run_matrix(["tso"], ["mp_flag"], ["ref"])
-        with pytest.raises(ConfigError):
+        with pytest.raises(JobError):
             run_matrix(["base"], ["ghost_kernel"], ["ref"])
-        with pytest.raises(ConfigError):
+        with pytest.raises(JobError):
             run_matrix(["base"], ["mp_flag"], ["warp"])
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(JobError, match="duplicate"):
             run_matrix(["base", "base"], ["mp_flag"], ["ref"])
 
 
@@ -103,15 +111,18 @@ class TestExpectationTable:
     def test_defaults_cover_every_registered_axis(self):
         from repro.engines import available_engines
         from repro.models import available_models
+        from repro.workloads.litmus import LITMUS
 
-        assert DEFAULT_MODELS == available_models()
-        assert set(DEFAULT_ENGINES) == set(available_engines())
+        assert matrix_axes(None, None, None) == (
+            available_models(), tuple(LITMUS), available_engines()
+        )
 
     def test_table_names_real_cells(self):
+        from repro.models import available_models
         from repro.workloads.litmus import LITMUS
 
         for model, kernel in EXPECTED_DIVERGENCES:
-            assert model in DEFAULT_MODELS
+            assert model in available_models()
             assert kernel in LITMUS
             # Only non-determinate kernels may legitimately diverge.
             assert not LITMUS[kernel].determinate
