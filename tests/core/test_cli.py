@@ -71,3 +71,51 @@ def test_run_staleness_mode(capsys):
     assert main(["run", "volrend", "--scale", "0.4", "--staleness"]) == 0
     out = capsys.readouterr().out
     assert "0 stale read(s)" in out
+
+
+def _fail_oracle(monkeypatch, name):
+    """Make *name*'s self-checking oracle fail (in-process runs only)."""
+    import dataclasses
+
+    from repro.workloads import litmus
+
+    def check(mem, obs):
+        raise AssertionError("injected")
+
+    monkeypatch.setitem(
+        litmus.LITMUS, name,
+        dataclasses.replace(litmus.LITMUS[name], check=check),
+    )
+
+
+def test_litmus_oracle_failure_names_the_kernel_and_continues(
+    monkeypatch, capsys
+):
+    _fail_oracle(monkeypatch, "mp_flag")
+    argv = ["litmus", "mp_flag", "lock_counter", "--jobs", "1", "--no-cache"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("mp_flag") and out[0].endswith(
+        "[intra] ORACLE FAILED: injected"
+    )
+    # the kernels after the failing one still run and print their line
+    assert out[1].startswith("lock_counter") and "verified" in out[1]
+
+
+def test_litmus_oracle_failure_keeps_json_stdout_clean(monkeypatch, capsys):
+    _fail_oracle(monkeypatch, "mp_flag")
+    argv = ["litmus", "mp_flag", "--json", "--jobs", "1", "--no-cache"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mp_flag" in captured.err and "ORACLE FAILED" in captured.err
+
+
+def test_job_usage_errors_name_the_flag(capsys):
+    assert main(["lint"]) == 2
+    err = capsys.readouterr().err
+    assert "nothing to lint: name a workload/litmus kernel" in err
+    assert main(["chaos", "--workload", "mp_flag", "--scale", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "repro: error: --scale must be > 0" in err
+    assert "spec." not in err
