@@ -1,8 +1,8 @@
 """Golden stdout for the job-shaped CLI subcommands.
 
-``repro gen``/``litmus``/``chaos``/``lint``/``fleet`` print text rendered
-from their result documents.  These tests pin that text byte-for-byte for
-one small invocation each, so a change to the lowering, the executor
+``repro gen``/``litmus``/``chaos``/``lint``/``fleet``, the figure commands
+and ``run`` print text rendered from their result documents.  These tests
+pin that text byte-for-byte for one small invocation each, so a change to the lowering, the executor
 plumbing, or a renderer that shifts a single character shows up as a
 readable diff.  Only the sweep-summary line's host-dependent parts (wall
 time, worker count, pool retries/fallbacks) are masked; each command runs
@@ -43,6 +43,17 @@ COMMANDS = [
     ),
     ("fleet_2.txt", ["fleet", "--scenarios", "2", "--seed", "1"], 0),
     ("gen_zipf_hot.txt", ["gen", "zipf_hot", "--seed", "7"], 0),
+    ("fig9.txt", ["fig9", "--scale", "0.25"], 0),
+    ("fig10.txt", ["fig10", "--scale", "0.25"], 0),
+    ("fig11.txt", ["fig11", "--scale", "0.25"], 0),
+    ("fig12.txt", ["fig12", "--scale", "0.25"], 0),
+    (
+        "fig11_rc_fast.txt",
+        ["fig11", "--scale", "0.25", "--model", "rc", "--engine", "fast"],
+        0,
+    ),
+    ("run_volrend.txt", ["run", "volrend", "--scale", "0.4"], 0),
+    ("run_ep.txt", ["run", "ep", "--scale", "0.25"], 0),
 ]
 
 _TIMING = re.compile(r"in \d+\.\d+s, jobs=\d+")
@@ -61,6 +72,10 @@ def mask(text: str) -> str:
 def test_cli_text_matches_golden(golden, argv, status, tmp_path, capsys,
                                  monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    for var in ("REPRO_ENGINE", "REPRO_MODEL"):
+        # Unset for the command, and restored afterwards whatever it does.
+        monkeypatch.setenv(var, "")
+        monkeypatch.delenv(var)
     assert main(argv) == status
     rendered = mask(capsys.readouterr().out)
     path = GOLDEN_DIR / golden

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 from repro.cli import main
 from repro.obs import validate_jsonl
@@ -39,6 +40,10 @@ def test_trace_subcommand_unknown_workload():
     assert main(["trace", "doom"]) == 2
 
 
+#: The plain ``repro fig10 --scale 0.25`` table (tests/core/test_cli_golden.py).
+FIG10_GOLDEN = pathlib.Path(__file__).parents[1] / "core" / "golden" / "fig10.txt"
+
+
 def test_fig10_with_trace_and_metrics(tmp_path, capsys):
     trace_dir = tmp_path / "traces"
     metrics_path = tmp_path / "m.json"
@@ -48,7 +53,8 @@ def test_fig10_with_trace_and_metrics(tmp_path, capsys):
     ])
     assert rc == 0
     captured = capsys.readouterr()
-    assert "norm" in captured.out or captured.out  # the table printed
+    # Tracing is neutral: the traced table is the untraced one, byte for byte.
+    assert captured.out == FIG10_GOLDEN.read_text()
     jsonls = list(trace_dir.glob("*.trace.jsonl"))
     assert jsonls, "no per-cell traces written"
     for path in jsonls:
