@@ -14,16 +14,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from common import INTRA_SCALE, bench_main, run_once, save_result
 
 from repro.core.config import INTRA_BMI, INTRA_HCC
+from repro.eval.parallel import sweep_matrix
 from repro.eval.report import render_fig10
-from repro.eval.runner import sweep_intra
 from repro.sim.stats import TrafficCat
 from repro.workloads import MODEL_ONE
 
 
 def sweep():
     """The Figure 10 matrix with its traffic assertions."""
-    results = sweep_intra(
-        sorted(MODEL_ONE), [INTRA_HCC, INTRA_BMI], scale=INTRA_SCALE
+    results = sweep_matrix(
+        "intra", sorted(MODEL_ONE), [INTRA_HCC, INTRA_BMI], scale=INTRA_SCALE
     )
     for app, per_cfg in results.items():
         bmi = per_cfg["B+M+I"].stats

@@ -14,16 +14,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from common import INTER_SCALE, bench_main, run_once, save_result
 
 from repro.core.config import INTER_ADDR, INTER_ADDR_L
+from repro.eval.parallel import sweep_matrix
 from repro.eval.report import render_fig11
-from repro.eval.runner import sweep_inter
 from repro.workloads import MODEL_TWO
 
 
 def sweep():
     """The Figure 11 matrix with its localization assertions."""
     apps = ["cg", "ep", "is", "jacobi"]  # the paper's Figure 11 apps
-    results = sweep_inter(
-        apps, [INTER_ADDR, INTER_ADDR_L], scale=INTER_SCALE
+    results = sweep_matrix(
+        "inter", apps, [INTER_ADDR, INTER_ADDR_L], scale=INTER_SCALE
     )
     # EP: reductions only — no localization at all.
     ep_a = results["ep"]["Addr"].stats

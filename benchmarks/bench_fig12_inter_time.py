@@ -14,16 +14,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from common import INTER_SCALE, bench_main, run_once, save_result
 
 from repro.core.config import INTER_CONFIGS
+from repro.eval.parallel import sweep_matrix
 from repro.eval.report import render_fig12
-from repro.eval.runner import sweep_inter
 from repro.workloads import MODEL_TWO
 
 
 def sweep():
     """The Figure 12 matrix with its shape assertions."""
     apps = ["cg", "ep", "is", "jacobi"]  # the paper's Figure 12 apps
-    results = sweep_inter(
-        apps, list(INTER_CONFIGS), scale=INTER_SCALE
+    results = sweep_matrix(
+        "inter", apps, list(INTER_CONFIGS), scale=INTER_SCALE
     )
     means = {}
     for app, per_cfg in results.items():

@@ -14,15 +14,15 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from common import INTRA_SCALE, bench_main, run_once, save_result
 
 from repro.core.config import INTRA_CONFIGS
+from repro.eval.parallel import sweep_matrix
 from repro.eval.report import render_fig9
-from repro.eval.runner import sweep_intra
 from repro.workloads import MODEL_ONE
 
 
 def sweep():
     """The Figure 9 matrix with its shape assertions; returns the results."""
-    results = sweep_intra(
-        sorted(MODEL_ONE), list(INTRA_CONFIGS), scale=INTRA_SCALE
+    results = sweep_matrix(
+        "intra", sorted(MODEL_ONE), list(INTRA_CONFIGS), scale=INTRA_SCALE
     )
     # Shape assertions on the mean across applications.
     means = {}

@@ -23,8 +23,7 @@ from common import bench_main, run_once, save_result
 from repro.common.params import intra_block_machine
 from repro.core.config import INTRA_BASE, INTRA_BM, INTRA_BMI, INTRA_HCC
 from repro.eval.cache import ResultCache
-from repro.eval.parallel import SweepExecutor
-from repro.eval.runner import sweep_intra
+from repro.eval.parallel import SweepExecutor, sweep_matrix
 
 APPS = ["fft", "lu_cont", "raytrace", "volrend"]
 CONFIGS = [INTRA_HCC, INTRA_BASE, INTRA_BM, INTRA_BMI]
@@ -47,21 +46,21 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
+def _sweep(executor):
+    return sweep_matrix("intra", APPS, CONFIGS, executor, **KW)
+
+
 def sweep():
     """Serial vs parallel vs cached sweep timing; returns the report text."""
-    serial, t_serial = _timed(
-        lambda: sweep_intra(APPS, CONFIGS, jobs=1, **KW)
-    )
+    serial, t_serial = _timed(lambda: _sweep(SweepExecutor(jobs=1)))
     parallel, t_parallel = _timed(
-        lambda: sweep_intra(APPS, CONFIGS, jobs=PARALLEL_JOBS, **KW)
+        lambda: _sweep(SweepExecutor(jobs=PARALLEL_JOBS))
     )
     with tempfile.TemporaryDirectory() as tmp:
         warm = SweepExecutor(jobs=1, cache=ResultCache(tmp))
-        sweep_intra(APPS, CONFIGS, executor=warm, **KW)
+        _sweep(warm)
         hot = SweepExecutor(jobs=1, cache=ResultCache(tmp))
-        cached, t_cached = _timed(
-            lambda: sweep_intra(APPS, CONFIGS, executor=hot, **KW)
-        )
+        cached, t_cached = _timed(lambda: _sweep(hot))
         assert warm.stats.cache_misses == len(APPS) * len(CONFIGS)
         assert hot.stats.cache_hits == len(APPS) * len(CONFIGS)
 

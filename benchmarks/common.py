@@ -70,11 +70,12 @@ def bench_main(
     """
     import os
 
+    from repro.engines import available_engines
     from repro.eval import bench
 
     parser = argparse.ArgumentParser(description=f"benchmark {name}")
     parser.add_argument(
-        "--engine", choices=("ref", "fast"), default=None,
+        "--engine", choices=available_engines(), default=None,
         help="simulator core to measure (default: $REPRO_ENGINE or ref)",
     )
     parser.add_argument(

@@ -72,13 +72,6 @@ class ThreadCFG:
     segments: list[Segment]
     calls: dict[str, CallSite]
 
-    def segment_of(self, idx: int) -> Segment:
-        """Segment containing the thread's op at stream position *idx*."""
-        for seg in self.segments:
-            if seg.start <= idx < max(seg.end, seg.start + 1):
-                return seg
-        return self.segments[-1]
-
 
 def build_cfg(trace: KernelTrace, tid: int) -> ThreadCFG:
     """Build one thread's epoch CFG from its extracted stream."""

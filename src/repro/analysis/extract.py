@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import AnalysisError
 from repro.isa import ops as isa
@@ -84,12 +84,6 @@ class KernelTrace:
         """Name of the shared array owning *byte_addr* (or a hex fallback)."""
         alloc = self.machine.space.owner_of(byte_addr)
         return alloc.name if alloc is not None else f"0x{byte_addr:x}"
-
-    def sync_events(self, tid: int) -> Iterator[OpEvent]:
-        """The synchronization events of one thread, in program order."""
-        for ev in self.per_thread[tid]:
-            if isinstance(ev.op, isa.SYNC_OPS):
-                yield ev
 
 
 # ---------------------------------------------------------------------------

@@ -25,30 +25,34 @@ Usage (also via ``python -m repro``)::
     repro serve --bench --chaos-kill        # SIGKILL/corrupt/resume drill
     repro cache stats | verify | gc         # result-cache integrity tooling
 
-Engine selection: ``--engine NAME`` (or ``$REPRO_ENGINE``) picks the
-registered simulator core — ``ref`` is the dict-based reference, ``fast`` the
-packed-array core (see ``repro.engines``).  Both are bit-identical by
-contract, so figure sweeps may serve either engine's runs from the shared
-result cache.
+Engine selection: ``--engine NAME`` picks the registered simulator core —
+``ref`` is the dict-based reference, ``fast`` the packed-array core (see
+``repro.engines``).  Both are bit-identical by contract.  The flag is the
+job spec's ``engine`` field, so it reaches every cell (worker processes
+included) as a cell argument; without it, ``$REPRO_ENGINE`` (else
+``ref``) is the process default.  The CLI never writes that variable.
 
-Memory-model selection: ``--model NAME`` (or ``$REPRO_MODEL``) picks the
-registered consistency backend (``base``, ``rc``, ``sisd``) for
-software-coherent configurations (see ``repro.models``; hardware-coherent
-Table II configs always run directory MESI).  Models are *not* bit-identical in timing, so
-the result cache keys on the effective model id.  ``repro litmus --matrix``
-is the conformance grid over every registered model.
+Memory-model selection: ``--model NAME`` picks the registered consistency
+backend (``base``, ``rc``, ``sisd``) for software-coherent configurations
+(see ``repro.models``; hardware-coherent Table II configs always run
+directory MESI).  It is the spec's ``model`` field; ``$REPRO_MODEL``
+(else ``base``) is the default.  Models are *not* bit-identical in
+timing, so the result cache keys on the effective model id.
+``repro litmus --matrix`` is the conformance grid over every registered
+model.
 
-One job definition: ``gen``, ``litmus``, ``chaos``, ``lint`` and ``fleet``
-are the job server's kinds of the same names.  Each turns its flags into
-that kind's spec dict, lowers it with
-:func:`repro.serve.jobs.compile_job` (the only place a spec is validated —
-a spec it rejects is a usage error here, exit 2, named by its flag; the
-server's queue-size ceilings do not apply), runs the units locally with
-:func:`repro.serve.jobs.run_job`, and renders the result document.
-``--json`` prints that document exactly as the server returns it; the
-text output is rendered from it.  CLI-only extras
-(``lint --fix``/``--dump-cfg``, the program digest and lint line of
-``gen``, ``litmus --bench``) are thin additions on top.
+One job definition: ``fig9``–``fig12``, ``run``, ``trace`` and ``bench``
+build a ``sweep`` job (intra- or inter-block follows from its apps), and
+``gen``, ``litmus``, ``chaos``, ``lint`` and ``fleet`` the job server's
+kinds of the same names.  Each turns its flags into that kind's spec
+dict, lowers it with :func:`repro.serve.jobs.compile_job` (the only place
+a spec is validated — a spec it rejects is a usage error here, exit 2,
+named by its flag; the server's queue-size ceilings do not apply), runs
+the units locally with :func:`repro.serve.jobs.run_job`, and renders the
+result document.  ``--json`` prints that document exactly as the server
+returns it; the text output is rendered from it.  CLI-only extras
+(``run --staleness``, ``lint --fix``/``--dump-cfg``, the program digest
+and lint line of ``gen``, ``litmus --bench``) are thin additions on top.
 
 Sweeps fan out over ``--jobs`` worker processes (default: CPU count) and
 reuse verified results from the persistent cache under
@@ -56,10 +60,12 @@ reuse verified results from the persistent cache under
 forces fresh simulation and ``--clear-cache`` empties the cache first.
 
 Observability: ``--trace DIR`` / ``--metrics PATH`` on the figure commands
-replay the sweep serially in-process with per-operation event tracing and a
-metrics registry attached (tracing is bit-identical-neutral, so the printed
-table does not change); ``repro trace`` does the same for a single cell and
-can also emit a Chrome ``trace_event`` file for chrome://tracing.
+run the same compiled sweep job's cells serially in-process, each with
+per-operation event tracing and a metrics registry attached, then fold
+them with the job's own finalizer.  Tracing is bit-identical-neutral, so
+the printed table does not change.  ``repro trace`` does the same for a
+one-cell sweep and can also emit a Chrome ``trace_event`` file for
+chrome://tracing.
 
 Every ``run`` is functionally verified before its statistics print, exactly
 like the test suite.
@@ -68,7 +74,6 @@ like the test suite.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.common.params import inter_block_machine, intra_block_machine
@@ -79,7 +84,6 @@ from repro.core.config import (
     intra_config,
 )
 from repro.eval import report as rpt
-from repro.eval.runner import run_inter, run_intra, sweep_inter, sweep_intra
 from repro.eval.storage import storage_report
 from repro.sim.stats import StallCat
 from repro.workloads import MODEL_ONE, MODEL_TWO
@@ -104,40 +108,38 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    app = args.workload
-    if app in MODEL_ONE:
-        config = intra_config(args.config)
-        if args.staleness:
-            from repro.core.machine import Machine
+    """One verified (workload, config) cell: a one-cell ``sweep`` job."""
+    from repro.eval.runner import RunResult
 
-            machine = Machine(
-                intra_block_machine(16),
-                config,
-                num_threads=16,
-                detect_staleness=True,
-                engine=args.engine,
-                model=args.model,
-            )
-            MODEL_ONE[app](scale=args.scale).run_on(machine)
-            n = len(machine.stale_reads)
-            print(f"{app} under {config.name}: verified OK, "
-                  f"{n} stale read(s) detected")
-            for event in machine.stale_reads[:10]:
-                print(f"  {event!r}")
-            return 0 if n == 0 else 1
-        result = run_intra(
-            app, config, scale=args.scale, engine=args.engine, model=args.model
+    app = args.workload
+    if args.staleness and app in MODEL_ONE:
+        from repro.core.machine import Machine
+
+        config = intra_config(args.config)
+        machine = Machine(
+            intra_block_machine(16),
+            config,
+            num_threads=16,
+            detect_staleness=True,
+            engine=args.engine,
+            model=args.model,
         )
-    elif app in MODEL_TWO:
-        config = inter_config(args.config)
-        result = run_inter(
-            app, config, scale=args.scale, engine=args.engine, model=args.model
-        )
-    else:
-        print(f"unknown workload {app!r} (try `repro list`)", file=sys.stderr)
-        return 2
+        MODEL_ONE[app](scale=args.scale).run_on(machine)
+        n = len(machine.stale_reads)
+        print(f"{app} under {config.name}: verified OK, "
+              f"{n} stale read(s) detected")
+        for event in machine.stale_reads[:10]:
+            print(f"  {event!r}")
+        return 0 if n == 0 else 1
+    doc, _ = _run("sweep", _spec(
+        apps=[app], configs=[args.config], scale=args.scale,
+        engine=args.engine, model=args.model,
+    ))
+    [row] = doc["matrix"].values()
+    [cell] = row.values()
+    result = RunResult.from_dict(cell)
     stats = result.stats
-    print(f"{app} under {config.name}: verified OK")
+    print(f"{app} under {result.config}: verified OK")
     print(f"  exec time     {stats.exec_time} cycles")
     for cat in StallCat:
         print(f"  {cat.value:14s}{stats.breakdown()[cat.value]:12.0f}")
@@ -155,6 +157,19 @@ def _cmd_run(args) -> int:
 
 
 _PAPER_INTER_APPS = ["cg", "ep", "is", "jacobi"]
+
+#: Each paper figure's sweep — (apps, Table II configs, renderer) — shared
+#: by the figure commands and ``repro bench fig9|fig12``.
+_FIGURES = {
+    "fig9": (
+        sorted(MODEL_ONE), [c.name for c in INTRA_CONFIGS], rpt.render_fig9,
+    ),
+    "fig10": (sorted(MODEL_ONE), ["HCC", "B+M+I"], rpt.render_fig10),
+    "fig11": (_PAPER_INTER_APPS, ["Addr", "Addr+L"], rpt.render_fig11),
+    "fig12": (
+        _PAPER_INTER_APPS, [c.name for c in INTER_CONFIGS], rpt.render_fig12,
+    ),
+}
 
 
 def _sweep_executor(args):
@@ -184,6 +199,10 @@ def _names(csv: str | None) -> list[str] | None:
 #: The flag that sets each spec field, per job kind (docs/SERVICE.md), so
 #: a rejected spec reports what the user actually typed.
 _FLAG_FOR_FIELD = {
+    "sweep": {
+        "apps": "WORKLOAD", "configs": "--config", "scale": "--scale",
+        "engine": "--engine", "model": "--model",
+    },
     "gen": {
         "pattern": "PATTERN", "seed": "--seed", "threads": "--threads",
         "footprint_lines": "--footprint", "rounds": "--rounds",
@@ -196,6 +215,7 @@ _FLAG_FOR_FIELD = {
     "chaos": {
         "workloads": "--workload", "plans": "--plans", "seed": "--seed",
         "scale": "--scale", "model": "--model", "faults": "--faults",
+        "engine": "--engine",
     },
     "lint": {
         "workloads": "NAME", "all_workloads": "--all-workloads",
@@ -246,71 +266,40 @@ def _run(kind: str, spec: dict, args=None):
     return run_job(job, ex), ex
 
 
-def _figure_sweep(args, kind: str, apps, configs):
-    """Run one figure's sweep matrix, traced or pooled per the flags.
+def _cmd_figure(args) -> int:
+    """``fig9``–``fig12``: run the figure's sweep job and render its table.
 
-    With ``--trace``/``--metrics`` the matrix is replayed serially
-    in-process (tracers do not cross process boundaries); otherwise it fans
-    out through the worker pool and the persistent cache.  Tracing is
-    bit-identical-neutral, so both paths feed the renderer the same numbers.
-
-    ``--engine`` is exported via ``$REPRO_ENGINE`` (which worker processes
-    inherit) rather than threaded through the cell kwargs, so the result
-    cache stays engine-agnostic — engines are bit-identical by contract.
-    ``--model`` takes the same env-var route (``$REPRO_MODEL``), but the
-    cache is *not* model-agnostic: the cell describer folds the effective
-    model id into the key, so each model's sweep caches separately.
+    Plain runs fan out through the worker pool and the persistent cache.
+    With ``--trace``/``--metrics`` the same compiled job's cells run
+    serially in-process instead (tracers do not cross process
+    boundaries); tracing is bit-identical-neutral, so both paths render
+    the same table.
     """
-    if getattr(args, "engine", None) is not None:
-        os.environ["REPRO_ENGINE"] = args.engine
-    if getattr(args, "model", None) is not None:
-        os.environ["REPRO_MODEL"] = args.model
-    if args.trace is not None or args.metrics is not None:
-        from repro.obs.replay import traced_sweep
+    from repro.eval.runner import RunResult
 
-        results = traced_sweep(
-            kind, apps, configs,
-            trace_dir=args.trace, metrics_path=args.metrics, scale=args.scale,
+    apps, configs, render = _FIGURES[args.command]
+    spec = _spec(
+        apps=apps, configs=configs, scale=args.scale,
+        engine=args.engine, model=args.model,
+    )
+    if args.trace is None and args.metrics is None:
+        doc, ex = _run("sweep", spec, args)
+        print(ex.stats.summary(), file=sys.stderr)
+    else:
+        from repro.obs.replay import run_traced_job
+
+        doc = run_traced_job(
+            _compile("sweep", spec),
+            trace_dir=args.trace, metrics_path=args.metrics,
         )
         if args.trace is not None:
             print(f"traces written under {args.trace}", file=sys.stderr)
         if args.metrics is not None:
             print(f"metrics written to {args.metrics}", file=sys.stderr)
-        return results
-    ex = _sweep_executor(args)
-    sweep = sweep_intra if kind == "intra" else sweep_inter
-    results = sweep(list(apps), list(configs), executor=ex, scale=args.scale)
-    print(ex.stats.summary(), file=sys.stderr)
-    return results
-
-
-def _cmd_fig9(args) -> int:
-    results = _figure_sweep(args, "intra", sorted(MODEL_ONE), INTRA_CONFIGS)
-    print(rpt.render_fig9(results))
-    return 0
-
-
-def _cmd_fig10(args) -> int:
-    from repro.core.config import INTRA_BMI, INTRA_HCC
-
-    results = _figure_sweep(args, "intra", sorted(MODEL_ONE), [INTRA_HCC, INTRA_BMI])
-    print(rpt.render_fig10(results))
-    return 0
-
-
-def _cmd_fig11(args) -> int:
-    from repro.core.config import INTER_ADDR, INTER_ADDR_L
-
-    results = _figure_sweep(
-        args, "inter", _PAPER_INTER_APPS, [INTER_ADDR, INTER_ADDR_L]
-    )
-    print(rpt.render_fig11(results))
-    return 0
-
-
-def _cmd_fig12(args) -> int:
-    results = _figure_sweep(args, "inter", _PAPER_INTER_APPS, INTER_CONFIGS)
-    print(rpt.render_fig12(results))
+    print(render({
+        app: {cfg: RunResult.from_dict(d) for cfg, d in row.items()}
+        for app, row in doc["matrix"].items()
+    }))
     return 0
 
 
@@ -319,20 +308,15 @@ def _cmd_trace(args) -> int:
     import json
     import pathlib
 
-    from repro.obs.replay import cell_trace_name, kind_of_app, run_traced
+    from repro.obs.replay import cell_trace_name, run_traced
 
-    kind = kind_of_app(args.workload)
-    if args.config is None:
-        args.config = "B+M+I" if kind == "intra" else "Addr+L"
-    config = (
-        intra_config(args.config) if kind == "intra" else inter_config(args.config)
-    )
-    result, tracer, metrics = run_traced(
-        kind, args.workload, config, scale=args.scale
-    )
-    out = pathlib.Path(args.out or cell_trace_name(args.workload, config.name))
+    [unit] = _compile("sweep", _spec(
+        apps=[args.workload], configs=[args.config], scale=args.scale,
+    )).units
+    result, tracer, metrics = run_traced(unit.cell)
+    out = pathlib.Path(args.out or cell_trace_name(args.workload, result.config))
     tracer.write_jsonl(out)
-    print(f"{args.workload} under {config.name}: verified OK, "
+    print(f"{args.workload} under {result.config}: verified OK, "
           f"{len(tracer.events)} events -> {out}")
     if args.chrome is not None:
         tracer.write_chrome(args.chrome)
@@ -687,10 +671,6 @@ def _cmd_chaos(args) -> int:
     from repro.faults import report as frpt
     from repro.faults.model import FAULT_CATALOG, FaultKind
 
-    if args.engine is not None:
-        # Same env-var route as the figure sweeps: workers inherit it and
-        # the result cache stays engine-agnostic.
-        os.environ["REPRO_ENGINE"] = args.engine
     if args.list_faults:
         print("Fault kinds (repro.faults):")
         for kind in FaultKind:
@@ -699,6 +679,7 @@ def _cmd_chaos(args) -> int:
     doc, ex = _run("chaos", _spec(
         workloads=args.workload, plans=args.plans, seed=args.seed,
         faults=_names(args.faults), scale=args.scale, model=args.model,
+        engine=args.engine,
     ), args)
     if args.json:
         print(frpt.render_json(doc), end="")
@@ -710,7 +691,7 @@ def _cmd_chaos(args) -> int:
 def _cmd_bench(args) -> int:
     """Timed (or profiled) in-process sweep for the perf trajectory.
 
-    Runs the fig9 or fig12 matrix serially in-process (``jobs=1``, no
+    Runs the fig9 or fig12 sweep job serially in-process (``jobs=1``, no
     result cache) so the wall-clock measures the simulator core and nothing
     else, then archives median/p95 seconds to ``BENCH_<target>.json`` via
     :mod:`repro.eval.bench`.  ``--profile`` swaps the timing loop for one
@@ -718,27 +699,17 @@ def _cmd_bench(args) -> int:
     """
     from repro.eval import bench
     from repro.eval.parallel import SweepExecutor
+    from repro.models import resolve_model
+    from repro.serve.jobs import run_job
 
-    if args.engine is not None:
-        os.environ["REPRO_ENGINE"] = args.engine
-    if args.model is not None:
-        os.environ["REPRO_MODEL"] = args.model
+    apps, configs, _ = _FIGURES[args.target]
+    job = _compile("sweep", _spec(
+        apps=apps, configs=configs, scale=args.scale,
+        engine=args.engine, model=args.model,
+    ))
 
     def sweep():
-        executor = SweepExecutor(jobs=1, cache=None)
-        if args.target == "fig12":
-            return sweep_inter(
-                _PAPER_INTER_APPS,
-                list(INTER_CONFIGS),
-                scale=args.scale,
-                executor=executor,
-            )
-        return sweep_intra(
-            sorted(MODEL_ONE),
-            list(INTRA_CONFIGS),
-            scale=args.scale,
-            executor=executor,
-        )
+        return run_job(job, SweepExecutor(jobs=1))
 
     if args.profile:
         import cProfile
@@ -755,11 +726,9 @@ def _cmd_bench(args) -> int:
     payload = bench.record(
         args.target,
         seconds,
+        engine=args.engine,
         warmup=args.warmup,
-        extra={
-            "scale": args.scale,
-            "model": args.model or os.environ.get("REPRO_MODEL", "base"),
-        },
+        extra={"scale": args.scale, "model": resolve_model(args.model).name},
     )
     path = bench.write_bench_json(payload, out=args.out)
     print(
@@ -974,13 +943,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=_cmd_run)
 
     for name, fn, needs_scale, blurb in (
-        ("fig9", _cmd_fig9, True,
+        ("fig9", _cmd_figure, True,
          "regenerate fig9: intra-block config sweep (exec-time breakdown)"),
-        ("fig10", _cmd_fig10, True,
+        ("fig10", _cmd_figure, True,
          "regenerate fig10: software coherence (B+M+I) vs hardware MESI"),
-        ("fig11", _cmd_fig11, True,
+        ("fig11", _cmd_figure, True,
          "regenerate fig11: inter-block locality (Addr vs Addr+L)"),
-        ("fig12", _cmd_fig12, True,
+        ("fig12", _cmd_figure, True,
          "regenerate fig12: inter-block config sweep (NoC traffic)"),
         ("table1", _cmd_table1, False,
          "regenerate table1: WB/INV annotation rules"),
@@ -991,13 +960,13 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_scale:
             p.add_argument("--scale", type=float, default=1.0)
             _add_engine(
-                p, "simulator core, exported as $REPRO_ENGINE so worker "
-                "processes inherit it (default: $REPRO_ENGINE or ref)",
+                p, "simulator core of every cell "
+                "(default: $REPRO_ENGINE or ref)",
             )
             _add_model(
-                p, "memory model for the software-coherent cells, "
-                "exported as $REPRO_MODEL (default: base); the result "
-                "cache keys on it",
+                p, "memory model for the software-coherent cells "
+                "(default: $REPRO_MODEL or base); the result cache keys "
+                "on it",
             )
             _add_sweep_flags(p)
             p.add_argument(
@@ -1063,7 +1032,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument("--scale", type=float, default=0.5)
     _add_engine(
-        p_chaos, "simulator core, exported as $REPRO_ENGINE (default: ref)"
+        p_chaos, "simulator core of every chaos cell "
+        "(default: $REPRO_ENGINE or ref)",
     )
     _add_model(
         p_chaos, "memory model for the software-coherent chaos cells "
@@ -1144,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time (or profile) a paper sweep and archive BENCH_<name>.json",
         description=(
-            "Run the fig9 (intra-block) or fig12 (inter-block) matrix "
+            "Run the fig9 (intra-block) or fig12 (inter-block) sweep job "
             "serially in-process with the result cache disabled, so the "
             "wall-clock measures the simulator core.  Without --profile, "
             "archive per-run seconds plus median/p95, engine, and git rev "
@@ -1160,7 +1130,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine(p_bench, "simulator core (default: $REPRO_ENGINE or ref)")
     _add_model(
-        p_bench, "memory model, exported as $REPRO_MODEL (default: base)"
+        p_bench, "memory model for the software-coherent cells "
+        "(default: $REPRO_MODEL or base)",
     )
     p_bench.add_argument("--scale", type=float, default=1.0)
     p_bench.add_argument(
@@ -1474,7 +1445,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "run" and args.config is None:
+    if args.command in ("run", "trace") and args.config is None:
         args.config = "B+M+I" if args.workload in MODEL_ONE else "Addr+L"
     try:
         return args.fn(args)

@@ -83,9 +83,6 @@ class CFG:
     def node(self, sid: int) -> Node:
         return self.nodes[sid]
 
-    def parallel_loops(self) -> list[Node]:
-        return [n for n in self.nodes if isinstance(n.stmt, ir.ParallelFor)]
-
     def _writes_all_of(self, stmt, array: str, size: int) -> bool:
         """Does *stmt* completely redefine *array* (a kill)?"""
         if isinstance(stmt, ir.ParallelFor):

@@ -8,8 +8,6 @@ from repro.eval.runner import (
     run_inter,
     run_intra,
     stall_fractions,
-    sweep_inter,
-    sweep_intra,
 )
 from repro.eval.storage import StorageReport, storage_report
 
@@ -27,7 +25,5 @@ __all__ = [
     "run_intra",
     "stall_fractions",
     "storage_report",
-    "sweep_inter",
-    "sweep_intra",
     "sweep_matrix",
 ]

@@ -80,12 +80,15 @@ def record(
 ) -> dict[str, Any]:
     """Build the archival payload for one measured benchmark.
 
-    ``engine`` defaults to the session's resolved engine (``$REPRO_ENGINE``
-    or ``ref``), so records always say which core produced the numbers.
+    ``engine`` is resolved the way every Machine resolves it (``None``
+    means ``$REPRO_ENGINE``, else ``ref``), so records always name the
+    core that actually produced the numbers.
     """
+    from repro.engines import resolve_engine
+
     payload: dict[str, Any] = {
         "name": name,
-        "engine": engine or os.environ.get("REPRO_ENGINE", "ref"),
+        "engine": resolve_engine(engine).name,
         "git_rev": git_rev(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "warmup": warmup,

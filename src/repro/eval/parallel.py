@@ -4,10 +4,10 @@ The paper's evaluation is an embarrassingly parallel matrix — Figures 9–12
 alone cover ~40 independent simulations — and every cell is deterministic,
 so cells can be fanned out over a :class:`~concurrent.futures.ProcessPoolExecutor`
 and/or served from the persistent :class:`~repro.eval.cache.ResultCache`
-without changing a single statistic.  :class:`SweepExecutor` is the engine
-behind :func:`~repro.eval.runner.sweep_intra` /
-:func:`~repro.eval.runner.sweep_inter`, so every existing caller (CLI,
-benchmarks, reports) inherits parallelism and caching.
+without changing a single statistic.  :class:`SweepExecutor` runs the
+cells of every compiled job (:func:`repro.serve.jobs.run_job`) and of
+:func:`sweep_matrix`, so every caller (CLI, job server, benchmarks)
+inherits parallelism and caching.
 
 Execution strategy per batch of cells:
 

@@ -228,47 +228,6 @@ def run_litmus(
     return _finish_result(name, config, machine, stats, metrics, injector, memory_digest)
 
 
-def sweep_intra(
-    apps: list[str],
-    configs: list[ExperimentConfig],
-    *,
-    jobs: int | None = None,
-    executor=None,
-    **kwargs,
-) -> dict[str, dict[str, RunResult]]:
-    """{app: {config name: result}} over the intra-block matrix.
-
-    Cells fan out over ``jobs`` worker processes (default: CPU count; pass
-    ``jobs=1`` to force in-process serial execution).  Pass a preconfigured
-    :class:`~repro.eval.parallel.SweepExecutor` as ``executor`` for caching,
-    timeouts, or shared hit/miss counters; remaining ``kwargs`` go to
-    :func:`run_intra` per cell.
-    """
-    from repro.eval.parallel import SweepExecutor, sweep_matrix
-
-    executor = executor or SweepExecutor(jobs=jobs)
-    return sweep_matrix("intra", apps, configs, executor, **kwargs)
-
-
-def sweep_inter(
-    apps: list[str],
-    configs: list[ExperimentConfig],
-    *,
-    jobs: int | None = None,
-    executor=None,
-    **kwargs,
-) -> dict[str, dict[str, RunResult]]:
-    """{app: {config name: result}} over the inter-block matrix.
-
-    Same execution semantics as :func:`sweep_intra`; ``kwargs`` go to
-    :func:`run_inter` per cell.
-    """
-    from repro.eval.parallel import SweepExecutor, sweep_matrix
-
-    executor = executor or SweepExecutor(jobs=jobs)
-    return sweep_matrix("inter", apps, configs, executor, **kwargs)
-
-
 def normalized_exec(results: dict[str, RunResult], baseline: str = "HCC") -> dict[str, float]:
     """Execution times of one app's configs normalized to *baseline*."""
     base = results[baseline].exec_time

@@ -117,6 +117,9 @@ class ChaosTarget:
     #: ``None`` leaves the Machine default.  The HCC reference cell never
     #: carries it — hardware-coherent configurations always run MESI.
     model: str | None = None
+    #: Simulator core (:mod:`repro.engines`) every run uses, the HCC
+    #: reference included; ``None`` leaves the Machine default.
+    engine: str | None = None
 
     @property
     def label(self) -> str:
@@ -129,26 +132,20 @@ class ChaosTarget:
             kwargs["faults"] = plan
         if self.model is not None and not config.hardware_coherent:
             kwargs["model"] = self.model
+        if self.engine is not None:
+            kwargs["engine"] = self.engine
         return SweepCell.make(
             self.kind, self.app, config, memory_digest=True, **kwargs
         )
 
 
-def _litmus_targets(model: str | None = None) -> list[ChaosTarget]:
+def _litmus_target(name: str, **runs) -> ChaosTarget:
+    """Litmus kernel *name* under its machine's default config pair."""
     from repro.workloads.litmus import LITMUS
 
-    out = []
-    for kernel in LITMUS.values():
-        if not kernel.determinate:
-            continue
-        if kernel.model == "inter":
-            config, reference = INTER_ADDR_L, INTER_HCC
-        else:
-            config, reference = INTRA_BMI, INTRA_HCC
-        out.append(
-            ChaosTarget("litmus", kernel.name, config, reference, model=model)
-        )
-    return out
+    if LITMUS[name].model == "inter":
+        return ChaosTarget("litmus", name, INTER_ADDR_L, INTER_HCC, **runs)
+    return ChaosTarget("litmus", name, INTRA_BMI, INTRA_HCC, **runs)
 
 
 def default_targets(
@@ -156,6 +153,7 @@ def default_targets(
     *,
     scale: float = 0.5,
     model: str | None = None,
+    engine: str | None = None,
 ) -> list[ChaosTarget]:
     """Resolve workload tokens into chaos targets.
 
@@ -163,7 +161,8 @@ def default_targets(
     the :func:`tiny_pressure_machine`), a Model-1 or Model-2 workload name,
     or a litmus kernel name.  ``None`` selects the full default matrix:
     litmus + the safe SPLASH/NAS workloads + the pressure target.
-    ``model`` selects the memory model the software-coherent runs use.
+    ``model`` selects the memory model the software-coherent runs use,
+    ``engine`` the simulator core of every run.
     """
     from repro.workloads import MODEL_ONE, MODEL_TWO
     from repro.workloads.litmus import LITMUS
@@ -172,10 +171,15 @@ def default_targets(
         workloads = (
             (TOKEN_LITMUS,) + SAFE_INTRA + SAFE_INTER + (TOKEN_TINY,)
         )
+    runs = {"model": model, "engine": engine}
     targets: list[ChaosTarget] = []
     for token in workloads:
         if token == TOKEN_LITMUS:
-            targets.extend(_litmus_targets(model))
+            targets.extend(
+                _litmus_target(kernel.name, **runs)
+                for kernel in LITMUS.values()
+                if kernel.determinate
+            )
         elif token == TOKEN_TINY:
             # lu_cont's working set overflows the 512-byte caches even at
             # half scale, so dirty L2 victims spill to memory mid-run.
@@ -188,14 +192,14 @@ def default_targets(
                         machine_params=tiny_pressure_machine(),
                         scale=scale,
                     ).kwargs,
-                    model=model,
+                    **runs,
                 )
             )
         elif token in MODEL_ONE:
             targets.append(
                 ChaosTarget(
                     "intra", token, INTRA_BMI, INTRA_HCC,
-                    (("scale", scale),), model=model,
+                    (("scale", scale),), **runs,
                 )
             )
         elif token in MODEL_TWO:
@@ -203,18 +207,11 @@ def default_targets(
                 ChaosTarget(
                     "inter", token, INTER_ADDR_L, INTER_HCC,
                     (("cores_per_block", 4), ("num_blocks", 2), ("scale", scale)),
-                    model=model,
+                    **runs,
                 )
             )
         elif token in LITMUS:
-            kernel = LITMUS[token]
-            if kernel.model == "inter":
-                config, reference = INTER_ADDR_L, INTER_HCC
-            else:
-                config, reference = INTRA_BMI, INTRA_HCC
-            targets.append(
-                ChaosTarget("litmus", token, config, reference, model=model)
-            )
+            targets.append(_litmus_target(token, **runs))
         else:
             raise ConfigError(f"unknown chaos workload {token!r}")
     return targets

@@ -392,14 +392,3 @@ def byte_range(op: Op) -> tuple[int, int] | None:
     if isinstance(op, RANGED_WB_OPS + RANGED_INV_OPS):
         return (op.addr, op.addr + op.length)
     return None
-
-
-def sync_var_id(op: Op) -> int | None:
-    """Synchronization variable ID of a sync op (barrier/lock/flag), else None."""
-    if isinstance(op, Barrier):
-        return op.bid
-    if isinstance(op, (LockAcquire, LockRelease)):
-        return op.lid
-    if isinstance(op, (FlagSet, FlagWait)):
-        return op.fid
-    return None

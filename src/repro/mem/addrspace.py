@@ -70,10 +70,6 @@ class AddressSpace:
                 return alloc
         return None
 
-    @property
-    def used_bytes(self) -> int:
-        return self._next
-
 
 class SharedArray:
     """A 1-D or 2-D word-granular array view over an allocation.

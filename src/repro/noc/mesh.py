@@ -111,9 +111,6 @@ class Mesh:
             return self._core_l3_lat[core_id][bank]
         return self.latency(self.core_tile(core_id), self.l3_bank_tile(bank))
 
-    def l2_to_l3(self, l2_bank: int, l3_bank: int) -> int:
-        return self.latency(self.l2_bank_tile(l2_bank), self.l3_bank_tile(l3_bank))
-
     def core_to_core(self, a: int, b: int) -> int:
         return self.latency(self.core_tile(a), self.core_tile(b))
 

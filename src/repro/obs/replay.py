@@ -2,8 +2,8 @@
 
 The figure sweeps run with tracing off (fanned out over worker processes
 and served from the persistent cache); when an anomaly needs per-operation
-visibility, these helpers replay individual (application, configuration)
-cells in-process with a :class:`~repro.obs.trace.Tracer` and a
+visibility, these helpers replay the cells of a compiled job in-process
+with a :class:`~repro.obs.trace.Tracer` and a
 :class:`~repro.obs.metrics.Metrics` registry attached.  Because tracing is
 bit-identical-neutral, a traced replay reproduces exactly the statistics
 the untraced sweep reported.
@@ -16,38 +16,22 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Sequence
 
-from repro.common.errors import ConfigError
-from repro.core.config import ExperimentConfig
-from repro.eval.runner import RunResult, run_inter, run_intra
+from repro.eval.parallel import SweepCell, _run_cell
+from repro.eval.runner import RunResult
 from repro.obs.metrics import Metrics
 from repro.obs.trace import Tracer
-from repro.workloads import MODEL_ONE, MODEL_TWO
 
 
-def kind_of_app(app: str) -> str:
-    """``intra`` for Model-1 workloads, ``inter`` for Model-2."""
-    if app in MODEL_ONE:
-        return "intra"
-    if app in MODEL_TWO:
-        return "inter"
-    raise ConfigError(f"unknown workload {app!r}")
-
-
-def run_traced(
-    kind: str, app: str, config: ExperimentConfig, **kwargs
-) -> tuple[RunResult, Tracer, Metrics]:
-    """Run one cell in-process with tracing and metrics attached."""
+def run_traced(cell: SweepCell) -> tuple[RunResult, Tracer, Metrics]:
+    """Run one sweep cell of any kind in-process, traced and metered."""
     tracer = Tracer()
     metrics = Metrics()
-    if kind == "intra":
-        result = run_intra(app, config, tracer=tracer, metrics=metrics, **kwargs)
-    elif kind == "inter":
-        result = run_inter(app, config, tracer=tracer, metrics=metrics, **kwargs)
-    else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
-    return result, tracer, metrics
+    traced = SweepCell.make(
+        cell.kind, cell.app, cell.config,
+        **dict(cell.kwargs), tracer=tracer, metrics=metrics,
+    )
+    return _run_cell(traced), tracer, metrics
 
 
 def cell_trace_name(app: str, config_name: str) -> str:
@@ -56,39 +40,31 @@ def cell_trace_name(app: str, config_name: str) -> str:
     return f"{app}-{safe_cfg}.trace.jsonl"
 
 
-def traced_sweep(
-    kind: str,
-    apps: Sequence[str],
-    configs: Sequence[ExperimentConfig],
-    *,
-    trace_dir=None,
-    metrics_path=None,
-    **kwargs,
-) -> dict[str, dict[str, RunResult]]:
-    """Serial traced sweep over the (app × config) matrix.
+def run_traced_job(job, *, trace_dir=None, metrics_path=None) -> dict:
+    """Run every cell of a compiled job serially with tracing on.
 
     Writes one JSONL trace per cell under *trace_dir* (created if needed)
     and, when *metrics_path* is given, one JSON file mapping
-    ``{app: {config: metrics snapshot}}``.  Returns the same result dict a
-    normal sweep produces, so the figure renderers print identical tables.
+    ``{app: {config: metrics snapshot}}``.  Returns the job's result
+    document, exactly as :func:`repro.serve.jobs.run_job` would apart from
+    the metrics snapshot each cell carries.
     """
     if trace_dir is not None:
         trace_dir = pathlib.Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-    results: dict[str, dict[str, RunResult]] = {}
+    results: list[RunResult] = []
     all_metrics: dict[str, dict[str, dict]] = {}
-    for app in apps:
-        results[app] = {}
-        all_metrics[app] = {}
-        for config in configs:
-            result, tracer, metrics = run_traced(kind, app, config, **kwargs)
-            results[app][config.name] = result
-            all_metrics[app][config.name] = metrics.snapshot()
-            if trace_dir is not None:
-                tracer.write_jsonl(trace_dir / cell_trace_name(app, config.name))
+    for unit in job.units:
+        cell = unit.cell
+        result, tracer, _ = run_traced(cell)
+        results.append(result)
+        all_metrics.setdefault(cell.app, {})[cell.config.name] = result.metrics
+        if trace_dir is not None:
+            tracer.write_jsonl(
+                trace_dir / cell_trace_name(cell.app, cell.config.name)
+            )
     if metrics_path is not None:
         metrics_path = pathlib.Path(metrics_path)
-        if metrics_path.parent != pathlib.Path(""):
-            metrics_path.parent.mkdir(parents=True, exist_ok=True)
+        metrics_path.parent.mkdir(parents=True, exist_ok=True)
         metrics_path.write_text(json.dumps(all_metrics, indent=1, sort_keys=True))
-    return results
+    return job.finalize(results)

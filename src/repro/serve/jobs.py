@@ -2,7 +2,7 @@
 
 A job request is one JSON document::
 
-    {"schema": 1, "kind": "sweep", "client": "alice", "spec": {...}}
+    {"schema": 2, "kind": "sweep", "client": "alice", "spec": {...}}
 
 ``schema`` is the job-schema version (:data:`JOB_SCHEMA`; requests naming a
 different version are rejected so clients never silently run under changed
@@ -44,8 +44,10 @@ from repro.workloads import MODEL_ONE, MODEL_TWO
 
 #: Version of the request document this server understands.  Bump on any
 #: incompatible change to the payload layout or the per-kind spec fields;
-#: requests carrying another version are rejected with a 400.
-JOB_SCHEMA = 1
+#: requests carrying another version are rejected with a 400.  Version 2:
+#: ``sweep``'s ``model`` is the memory model, as in every other kind, and
+#: intra- vs inter-block follows from its ``apps``.
+JOB_SCHEMA = 2
 
 #: Job kinds the server accepts (each maps to one ``_compile_*`` lowerer).
 JOB_KINDS = ("sweep", "gen", "litmus", "chaos", "lint", "fleet")
@@ -64,10 +66,13 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 #: the queue, this guards a single request from monopolizing it.
 MAX_UNITS = 1024
 
-#: Per-field ceilings the server admits for the kinds the CLI shares
-#: (``sweep`` is served-only and bounds its fields in its lowerer).  Like
-#: :data:`MAX_UNITS` they guard the queue, not validity.
+#: Per-field ceilings the server admits.  Like :data:`MAX_UNITS` they
+#: guard the queue, not validity, so the CLI is not bound by them.
 SERVER_LIMITS: dict[str, dict[str, float]] = {
+    "sweep": {
+        "scale": 4.0, "num_threads": 64, "num_blocks": 16,
+        "cores_per_block": 16,
+    },
     "gen": {"threads": 32, "footprint_lines": 64, "rounds": 16},
     "chaos": {"plans": 100, "scale": 4.0},
     "lint": {"scale": 4.0},
@@ -152,22 +157,17 @@ def _get(spec: dict, name: str, default=_SENTINEL, *, types=None):
     return value
 
 
-def _int_in(spec: dict, name: str, default: int, lo: int, hi: int) -> int:
-    """An int field clamped-checked to ``[lo, hi]``."""
+def _count(spec: dict, name: str, default: int) -> int:
+    """A positive int field."""
     value = _get(spec, name, default, types=int)
-    _expect(lo <= value <= hi, f"spec.{name} must be in [{lo}, {hi}]")
+    _expect(value >= 1, f"spec.{name} must be >= 1")
     return value
 
 
-def _scale(
-    spec: dict, default: float = 1.0, hi: float | None = None
-) -> float:
-    """A positive ``scale`` field, at most *hi* when given."""
+def _scale(spec: dict, default: float = 1.0) -> float:
+    """A positive ``scale`` field."""
     value = float(_get(spec, "scale", default, types=(int, float)))
-    if hi is None:
-        _expect(value > 0.0, "spec.scale must be > 0")
-    else:
-        _expect(0.0 < value <= hi, f"spec.scale must be in (0, {hi:g}]")
+    _expect(value > 0.0, "spec.scale must be > 0")
     return value
 
 
@@ -205,45 +205,68 @@ def _name_list(spec: dict, name: str, *, default=None) -> list[str]:
     return list(values)
 
 
-def _configs(names: Sequence[str], model: str) -> list:
-    """Resolve Table II config names (unknown names are a ConfigError)."""
-    lookup = intra_config if model == "intra" else inter_config
+def _configs(names: Sequence[str], kind: str) -> list:
+    """Resolve Table II config names of the ``intra`` or ``inter`` machine.
+
+    Unknown names are a :class:`~repro.common.errors.ConfigError`.
+    """
+    lookup = intra_config if kind == "intra" else inter_config
     return [lookup(name) for name in names]
 
 
 # -- per-kind lowerers -------------------------------------------------------
 
 
+def _sweep_kind(apps: Sequence[str]) -> str:
+    """``intra`` (Model-1 apps) or ``inter`` (Model-2): never both."""
+    kinds = {}
+    for app in apps:
+        _expect(
+            app in MODEL_ONE or app in MODEL_TWO,
+            f"unknown workload {app!r} (try `repro list`)",
+        )
+        kinds.setdefault("intra" if app in MODEL_ONE else "inter", app)
+    _expect(
+        len(kinds) == 1,
+        "spec.apps mixes Model-1 and Model-2 workloads "
+        f"({kinds.get('intra')!r} is intra-block, "
+        f"{kinds.get('inter')!r} is inter-block)",
+    )
+    [kind] = kinds
+    return kind
+
+
 def _compile_sweep(spec: dict) -> CompiledJob:
-    """``sweep``: an (apps × configs) matrix, the paper's figure shape."""
+    """``sweep``: an (apps × configs) matrix, the paper's figure shape.
+
+    The apps decide the machine: Model-1 (SPLASH) apps sweep the
+    intra-block machine, Model-2 (NAS) apps the inter-block one.
+    """
     _only(spec, "sweep", (
-        "model", "apps", "configs", "scale", "engine", "memory_digest",
+        "apps", "configs", "scale", "engine", "model", "memory_digest",
         "num_threads", "num_blocks", "cores_per_block",
     ))
-    model = _get(spec, "model", "intra", types=str)
-    _expect(model in ("intra", "inter"), "spec.model must be intra|inter")
-    registry = MODEL_ONE if model == "intra" else MODEL_TWO
-    apps = _name_list(spec, "apps")
-    for app in apps:
-        _expect(app in registry, f"unknown {model} workload {app!r}")
-    configs = _configs(_name_list(spec, "configs"), model)
-    scale = _scale(spec, hi=4.0)
-    engine = _engine(spec)
-    memory_digest = _get(spec, "memory_digest", False, types=bool)
-    kwargs: dict[str, Any] = {"scale": scale}
-    if model == "intra":
-        kwargs["num_threads"] = _int_in(spec, "num_threads", 16, 1, 64)
+    apps = _name_list(spec, "apps", default=_SENTINEL)
+    kind = _sweep_kind(apps)
+    configs = _configs(_name_list(spec, "configs"), kind)
+    kwargs: dict[str, Any] = {"scale": _scale(spec)}
+    if kind == "intra":
+        kwargs["num_threads"] = _count(spec, "num_threads", 16)
     else:
-        kwargs["num_blocks"] = _int_in(spec, "num_blocks", 4, 1, 16)
-        kwargs["cores_per_block"] = _int_in(spec, "cores_per_block", 8, 1, 16)
+        kwargs["num_blocks"] = _count(spec, "num_blocks", 4)
+        kwargs["cores_per_block"] = _count(spec, "cores_per_block", 8)
+    engine = _engine(spec)
     if engine is not None:
         kwargs["engine"] = engine
-    if memory_digest:
+    model = _model(spec, software=True)
+    if model is not None:
+        kwargs["model"] = model
+    if _get(spec, "memory_digest", False, types=bool):
         kwargs["memory_digest"] = True
     units = [
         Unit(
-            f"{model}:{app}/{cfg.name}",
-            cell=SweepCell.make(model, app, cfg, **kwargs),
+            f"{kind}:{app}/{cfg.name}",
+            cell=SweepCell.make(kind, app, cfg, **kwargs),
         )
         for app in apps
         for cfg in configs
@@ -253,7 +276,6 @@ def _compile_sweep(spec: dict) -> CompiledJob:
         flat = iter(results)
         return {
             "kind": "sweep",
-            "model": model,
             "matrix": {
                 app: {cfg.name: next(flat).to_dict() for cfg in configs}
                 for app in apps
@@ -262,7 +284,7 @@ def _compile_sweep(spec: dict) -> CompiledJob:
 
     return CompiledJob(
         "sweep", spec, units, finalize,
-        f"{model} sweep: {len(apps)} app(s) x {len(configs)} config(s)",
+        f"{kind} sweep: {len(apps)} app(s) x {len(configs)} config(s)",
     )
 
 
@@ -412,7 +434,7 @@ def _compile_chaos(spec: dict) -> CompiledJob:
     from repro.faults.report import summarize
 
     _only(spec, "chaos", (
-        "plans", "seed", "faults", "workloads", "scale", "model",
+        "plans", "seed", "faults", "workloads", "scale", "model", "engine",
     ))
     num_plans = _get(spec, "plans", 3, types=int)
     seed = _get(spec, "seed", DEFAULT_SEED, types=int)
@@ -429,6 +451,7 @@ def _compile_chaos(spec: dict) -> CompiledJob:
         _name_list(spec, "workloads") or None,
         scale=_scale(spec, 0.5),
         model=_model(spec, software=True),
+        engine=_engine(spec),
     )
     plans = random_plans(num_plans, seed=seed, kinds=kinds)
     cells = chaos_cells(targets, plans)

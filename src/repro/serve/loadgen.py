@@ -38,6 +38,7 @@ from repro.core.config import intra_config
 from repro.eval.bench import git_rev, percentile, write_bench_json
 from repro.eval.cache import ResultCache
 from repro.eval.parallel import SweepCell, SweepExecutor
+from repro.serve.jobs import JOB_SCHEMA
 from repro.serve.server import JobServer, ServerConfig
 
 #: Small/fast Model-1 workloads the bench cycles through (distinct
@@ -177,14 +178,6 @@ class RetryPolicy:
     cap_s: float = 2.0
     seed: int = DEFAULT_SEED
 
-    @property
-    def worst_case_s(self) -> float:
-        """Upper bound on total sleep across a full retry budget."""
-        return sum(
-            min(self.base_s * 2**n, self.cap_s) * 1.5
-            for n in range(self.attempts)
-        )
-
 
 class ResilientClient:
     """Blocking HTTP client that rides out 429/503/connection failures.
@@ -293,11 +286,10 @@ def bench_payloads(jobs: int, *, scale: float) -> list[dict]:
             1 + (i // (len(BENCH_APPS) * len(BENCH_CONFIGS))) % 3
         )
         payloads.append({
-            "schema": 1,
+            "schema": JOB_SCHEMA,
             "kind": "sweep",
             "client": f"bench-{i % 16}",
             "spec": {
-                "model": "intra",
                 "apps": [app],
                 "configs": [cfg],
                 "scale": scale,

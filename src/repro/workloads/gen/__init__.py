@@ -143,8 +143,7 @@ def run_gen(
     and under any armed fault plan (scenarios are timing-independent, the
     chaos contract).
     """
-    from repro.eval.runner import RunResult, _make_injector
-    from repro.mem.memory import image_digest
+    from repro.eval.runner import _finish_result, _make_injector
 
     scenario = build_scenario(spec)
     params = machine_params or gen_machine_params(spec)
@@ -157,13 +156,8 @@ def run_gen(
     stats = machine.run()
     if verify:
         verify_scenario(machine, scenario, arrays)
-    return RunResult(
-        spec.name,
-        config.name,
-        stats,
-        metrics.snapshot() if metrics is not None else None,
-        injector.snapshot() if injector is not None else None,
-        image_digest(machine.hier.memory.image()) if memory_digest else None,
+    return _finish_result(
+        spec.name, config, machine, stats, metrics, injector, memory_digest
     )
 
 

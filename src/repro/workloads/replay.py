@@ -222,8 +222,7 @@ def run_replay(
     returns a :class:`~repro.eval.runner.RunResult`.  ``num_threads``
     defaults to the populated-core count (identity placement).
     """
-    from repro.eval.runner import RunResult
-    from repro.mem.memory import image_digest
+    from repro.eval.runner import _finish_result
 
     if not isinstance(events, list):
         events = load_events(events)
@@ -235,11 +234,6 @@ def run_replay(
     )
     spawn_replay(machine, events)
     stats = machine.run()
-    return RunResult(
-        app,
-        config.name,
-        stats,
-        metrics.snapshot() if metrics is not None else None,
-        None,
-        image_digest(machine.hier.memory.image()) if memory_digest else None,
+    return _finish_result(
+        app, config, machine, stats, metrics, None, memory_digest
     )

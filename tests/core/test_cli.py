@@ -119,3 +119,36 @@ def test_job_usage_errors_name_the_flag(capsys):
     err = capsys.readouterr().err
     assert "repro: error: --scale must be > 0" in err
     assert "spec." not in err
+
+
+def test_engine_and_model_flags_do_not_leak(tmp_path, capsys, monkeypatch):
+    """--engine/--model reach the cells as spec fields, never os.environ.
+
+    After a command that sets both, the variables are still unset and the
+    next ``run`` in the same process resolves the defaults.
+    """
+    import os
+
+    from repro.core.machine import Machine
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    for var in ("REPRO_ENGINE", "REPRO_MODEL"):
+        monkeypatch.setenv(var, "")  # restored after the test either way
+        monkeypatch.delenv(var)
+    assert main(["fig11", "--scale", "0.25", "--jobs", "1",
+                 "--engine", "fast", "--model", "rc"]) == 0
+    assert main(["chaos", "--workload", "mp_flag", "--plans", "1",
+                 "--jobs", "1", "--engine", "fast"]) == 0
+    assert "REPRO_ENGINE" not in os.environ
+    assert "REPRO_MODEL" not in os.environ
+
+    resolved = []
+    init = Machine.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        resolved.append((self.engine_spec.name, self.model_spec.name))
+
+    monkeypatch.setattr(Machine, "__init__", spy)
+    assert main(["run", "ep", "--scale", "0.25"]) == 0
+    assert resolved == [("ref", "base")]

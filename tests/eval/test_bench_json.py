@@ -59,6 +59,22 @@ class TestRecord:
         monkeypatch.setenv("REPRO_ENGINE", "fast")
         assert bench.record("probe", [1.0], engine="ref")["engine"] == "ref"
 
+    def test_empty_env_records_the_engine_that_ran(self, monkeypatch):
+        """``REPRO_ENGINE=""`` resolves to ``ref``; the record says so."""
+        monkeypatch.setenv("REPRO_ENGINE", "")
+        assert bench.record("probe", [1.0])["engine"] == "ref"
+
+    def test_cli_records_the_resolved_engine_and_model(self, monkeypatch,
+                                                       tmp_path, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_ENGINE", "")
+        monkeypatch.setenv("REPRO_MODEL", "")
+        out = tmp_path / "bench.json"
+        assert main(["bench", "fig12", "--scale", "0.1", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["engine"], payload["model"]) == ("ref", "base")
+
 
 class TestWriteJson:
     def test_default_path_under_repo_root(self, monkeypatch, tmp_path):

@@ -15,12 +15,12 @@ from repro.eval.report import (
     render_table2,
     render_table3,
 )
+from repro.eval.parallel import sweep_matrix
 from repro.eval.runner import (
     normalized_exec,
     run_inter,
     run_intra,
     stall_fractions,
-    sweep_intra,
 )
 from repro.eval.storage import storage_report
 
@@ -61,7 +61,8 @@ class TestRunner:
             run_inter("nope", INTER_HCC)
 
     def test_normalized_exec(self):
-        results = sweep_intra(
+        results = sweep_matrix(
+            "intra",
             ["volrend"],
             [INTRA_HCC, INTRA_BMI],
             num_threads=4,
@@ -82,7 +83,8 @@ class TestRunner:
 class TestReports:
     @pytest.fixture(scope="class")
     def small_results(self):
-        return sweep_intra(
+        return sweep_matrix(
+            "intra",
             ["volrend", "raytrace"],
             [INTRA_HCC, INTRA_BMI],
             num_threads=4,
@@ -111,10 +113,9 @@ class TestReports:
 
     def test_fig11_and_12_render(self):
         from repro.core.config import INTER_CONFIGS
-        from repro.eval.runner import sweep_inter
 
-        results = sweep_inter(
-            ["ep"], list(INTER_CONFIGS), num_blocks=2, cores_per_block=2,
+        results = sweep_matrix(
+            "inter", ["ep"], list(INTER_CONFIGS), num_blocks=2, cores_per_block=2,
             scale=0.25,
         )
         assert "ep" in render_fig11(results)

@@ -12,7 +12,6 @@ from repro.eval.parallel import (
     _run_cell,
     sweep_matrix,
 )
-from repro.eval.runner import sweep_inter, sweep_intra
 
 SMALL = dict(num_threads=4, scale=0.5, machine_params=intra_block_machine(4))
 
@@ -62,12 +61,12 @@ class TestSweepExecutor:
         assert ex.stats.cells == 4 and ex.stats.simulated == 4
 
     def test_parallel_matches_serial_bitwise(self):
-        serial = sweep_intra(
-            ["volrend", "raytrace"], [INTRA_HCC, INTRA_BMI], jobs=1, **SMALL
+        apps, configs = ["volrend", "raytrace"], [INTRA_HCC, INTRA_BMI]
+        serial = sweep_matrix(
+            "intra", apps, configs, SweepExecutor(jobs=1), **SMALL
         )
-        ex = SweepExecutor(jobs=2)
-        parallel = sweep_intra(
-            ["volrend", "raytrace"], [INTRA_HCC, INTRA_BMI], executor=ex, **SMALL
+        parallel = sweep_matrix(
+            "intra", apps, configs, SweepExecutor(jobs=2), **SMALL
         )
         assert flatten(serial) == flatten(parallel)
 
@@ -116,6 +115,9 @@ class TestSweepWrappers:
         from repro.core.config import INTER_ADDR_L, INTER_HCC
 
         kw = dict(num_blocks=2, cores_per_block=2, scale=0.25)
-        serial = sweep_inter(["ep"], [INTER_HCC, INTER_ADDR_L], jobs=1, **kw)
-        parallel = sweep_inter(["ep"], [INTER_HCC, INTER_ADDR_L], jobs=2, **kw)
+        configs = [INTER_HCC, INTER_ADDR_L]
+        serial = sweep_matrix("inter", ["ep"], configs, SweepExecutor(jobs=1), **kw)
+        parallel = sweep_matrix(
+            "inter", ["ep"], configs, SweepExecutor(jobs=2), **kw
+        )
         assert flatten(serial) == flatten(parallel)

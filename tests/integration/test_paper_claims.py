@@ -16,7 +16,8 @@ from repro.core.config import (
     INTRA_BMI,
     INTRA_HCC,
 )
-from repro.eval.runner import run_inter, run_intra, sweep_inter
+from repro.eval.parallel import sweep_matrix
+from repro.eval.runner import run_inter, run_intra
 from repro.eval.storage import storage_report
 from repro.sim.stats import StallCat, TrafficCat
 
@@ -88,7 +89,9 @@ class TestIntraBlockClaims:
 class TestInterBlockClaims:
     @pytest.fixture(scope="class")
     def jacobi_results(self):
-        return sweep_inter(["jacobi"], list(INTER_CONFIGS), scale=0.4)["jacobi"]
+        return sweep_matrix(
+            "inter", ["jacobi"], INTER_CONFIGS, scale=0.4
+        )["jacobi"]
 
     def test_base_worst_addr_better_addr_l_best(self, jacobi_results):
         base = jacobi_results["Base"].exec_time
@@ -104,7 +107,7 @@ class TestInterBlockClaims:
         assert addr_l.local_wb_lines > 0  # localized work really happened
 
     def test_reduction_apps_show_no_level_benefit(self):
-        results = sweep_inter(["ep"], list(INTER_CONFIGS), scale=0.25)["ep"]
+        results = sweep_matrix("inter", ["ep"], INTER_CONFIGS, scale=0.25)["ep"]
         addr = results["Addr"].stats
         addr_l = results["Addr+L"].stats
         assert addr_l.global_wb_lines == addr.global_wb_lines

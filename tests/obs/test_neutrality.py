@@ -17,8 +17,10 @@ from repro.core.config import (
     INTRA_HCC,
 )
 from repro.eval import report as rpt
-from repro.eval.runner import run_inter, run_intra
-from repro.obs.replay import run_traced, traced_sweep
+from repro.eval.parallel import SweepCell, SweepExecutor
+from repro.eval.runner import RunResult, run_inter, run_intra
+from repro.obs.replay import run_traced, run_traced_job
+from repro.serve.jobs import compile_job, run_job
 
 INTRA_KW = dict(num_threads=4, scale=0.5)
 INTER_KW = dict(num_blocks=2, cores_per_block=2, scale=0.25)
@@ -28,7 +30,9 @@ INTER_KW = dict(num_blocks=2, cores_per_block=2, scale=0.25)
                          ids=lambda c: c.name)
 def test_intra_stats_identical_with_and_without_tracing(config):
     plain = run_intra("volrend", config, **INTRA_KW)
-    traced, tracer, metrics = run_traced("intra", "volrend", config, **INTRA_KW)
+    traced, tracer, metrics = run_traced(
+        SweepCell.make("intra", "volrend", config, **INTRA_KW)
+    )
     assert traced.stats.to_dict() == plain.stats.to_dict()
     assert len(tracer.events) > 0
     assert metrics.counters  # something was recorded, yet nothing changed
@@ -38,17 +42,28 @@ def test_intra_stats_identical_with_and_without_tracing(config):
                          ids=lambda c: c.name)
 def test_inter_stats_identical_with_and_without_tracing(config):
     plain = run_inter("ep", config, **INTER_KW)
-    traced, tracer, metrics = run_traced("inter", "ep", config, **INTER_KW)
+    traced, tracer, metrics = run_traced(
+        SweepCell.make("inter", "ep", config, **INTER_KW)
+    )
     assert traced.stats.to_dict() == plain.stats.to_dict()
     assert len(tracer.events) > 0
 
 
 def test_traced_sweep_renders_the_same_fig9_table():
-    apps = ["volrend"]
-    configs = [INTRA_HCC, INTRA_BMI]
-    plain = {
-        app: {c.name: run_intra(app, c, **INTRA_KW) for c in configs}
-        for app in apps
-    }
-    traced = traced_sweep("intra", apps, configs, **INTRA_KW)
-    assert rpt.render_fig9(traced) == rpt.render_fig9(plain)
+    """The traced path folds the same job's cells into the same document."""
+    job = compile_job({"kind": "sweep", "spec": {
+        "apps": ["volrend"], "configs": ["HCC", "B+M+I"], **INTRA_KW}})
+    plain = run_job(job, SweepExecutor(jobs=1))
+    traced = run_traced_job(job)
+    for row in traced["matrix"].values():
+        for cell in row.values():
+            assert cell.pop("metrics")  # the only addition tracing makes
+    assert traced == plain
+
+    def table(doc):
+        return rpt.render_fig9({
+            app: {cfg: RunResult.from_dict(d) for cfg, d in row.items()}
+            for app, row in doc["matrix"].items()
+        })
+
+    assert table(traced) == table(plain)

@@ -8,29 +8,33 @@ import pickle
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.core.config import INTRA_BMI, INTRA_HCC
+from repro.core.config import INTRA_BMI
+from repro.eval.parallel import SweepCell, _run_cell
 from repro.eval.runner import RunResult, run_intra
 from repro.obs import validate_jsonl
-from repro.obs.replay import (
-    cell_trace_name,
-    kind_of_app,
-    run_traced,
-    traced_sweep,
-)
+from repro.obs.replay import cell_trace_name, run_traced, run_traced_job
+from repro.serve.jobs import compile_job
+from repro.workloads.gen import ScenarioSpec
 
 KW = dict(num_threads=4, scale=0.5)
 
 
-def test_kind_of_app():
-    assert kind_of_app("volrend") == "intra"
-    assert kind_of_app("ep") == "inter"
-    with pytest.raises(ConfigError):
-        kind_of_app("doom")
-
-
 def test_run_traced_rejects_unknown_kind():
     with pytest.raises(ConfigError):
-        run_traced("diagonal", "volrend", INTRA_BMI)
+        run_traced(SweepCell.make("diagonal", "volrend", INTRA_BMI))
+
+
+@pytest.mark.parametrize("cell", [
+    SweepCell.make("litmus", "mp_flag", INTRA_BMI),
+    SweepCell.make(
+        "gen", "migratory", INTRA_BMI,
+        spec=ScenarioSpec(pattern="migratory", seed=3),
+    ),
+], ids=lambda c: c.kind)
+def test_run_traced_handles_every_cell_kind(cell):
+    traced, tracer, metrics = run_traced(cell)
+    assert traced.stats == _run_cell(cell).stats
+    assert tracer.events and traced.metrics == metrics.snapshot()
 
 
 def test_cell_trace_name_is_filesystem_safe():
@@ -39,7 +43,9 @@ def test_cell_trace_name_is_filesystem_safe():
 
 
 def test_run_result_carries_metrics_snapshot():
-    result, _tracer, metrics = run_traced("intra", "volrend", INTRA_BMI, **KW)
+    result, _tracer, metrics = run_traced(
+        SweepCell.make("intra", "volrend", INTRA_BMI, **KW)
+    )
     assert result.metrics == metrics.snapshot()
     d = result.to_dict()
     assert d["metrics"] == result.metrics
@@ -60,11 +66,10 @@ def test_plain_runs_keep_dict_form_unchanged():
 def test_traced_sweep_writes_traces_and_metrics(tmp_path):
     trace_dir = tmp_path / "traces"
     metrics_path = tmp_path / "metrics.json"
-    results = traced_sweep(
-        "intra", ["volrend"], [INTRA_HCC, INTRA_BMI],
-        trace_dir=trace_dir, metrics_path=metrics_path, **KW,
-    )
-    assert set(results["volrend"]) == {"HCC", "B+M+I"}
+    job = compile_job({"kind": "sweep", "spec": {
+        "apps": ["volrend"], "configs": ["HCC", "B+M+I"], **KW}})
+    doc = run_traced_job(job, trace_dir=trace_dir, metrics_path=metrics_path)
+    assert set(doc["matrix"]["volrend"]) == {"HCC", "B+M+I"}
     for cfg in ("HCC", "BMI"):
         path = trace_dir / f"volrend-{cfg}.trace.jsonl"
         assert validate_jsonl(path) > 0
@@ -72,5 +77,5 @@ def test_traced_sweep_writes_traces_and_metrics(tmp_path):
     assert set(per_cell["volrend"]) == {"HCC", "B+M+I"}
     assert (
         per_cell["volrend"]["B+M+I"]
-        == results["volrend"]["B+M+I"].metrics
+        == doc["matrix"]["volrend"]["B+M+I"]["metrics"]
     )

@@ -16,7 +16,6 @@ from repro.serve.jobs import (
 
 def sweep_payload(**spec):
     base = {
-        "model": "intra",
         "apps": ["fft"],
         "configs": ["Base"],
         "scale": 0.25,
@@ -35,13 +34,20 @@ class TestValidation:
         with pytest.raises(JobError, match="unsupported job schema"):
             compile_job({"schema": 99, "kind": "sweep", "spec": {}})
 
+    def test_rejects_schema_1(self):
+        """Schema 1 read sweep's ``model`` as intra|inter; it is a 400 now."""
+        with pytest.raises(JobError, match="unsupported job schema 1"):
+            compile_job({"schema": 1, "kind": "sweep",
+                         "spec": sweep_payload()["spec"]})
+
     def test_schema_defaults_to_current(self):
         job = compile_job({"kind": "sweep", "spec": sweep_payload()["spec"]})
         assert job.kind == "sweep"
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(JobError, match="kind must be one of"):
-            compile_job({"schema": 1, "kind": "frobnicate", "spec": {}})
+            compile_job({"schema": JOB_SCHEMA, "kind": "frobnicate",
+                         "spec": {}})
 
     def test_all_kinds_are_registered(self):
         assert JOB_KINDS == ("sweep", "gen", "litmus", "chaos", "lint", "fleet")
@@ -58,7 +64,7 @@ class TestValidation:
 
     def test_rejects_bad_scale(self):
         with pytest.raises(JobError, match="scale"):
-            compile_job(sweep_payload(scale=99.0))
+            compile_job(sweep_payload(scale=0))
 
     def test_rejects_bad_engine(self):
         with pytest.raises(JobError, match="engine"):
@@ -66,7 +72,16 @@ class TestValidation:
 
     def test_rejects_out_of_range_threads(self):
         with pytest.raises(JobError, match="num_threads"):
-            compile_job(sweep_payload(num_threads=1000))
+            compile_job(sweep_payload(num_threads=0))
+
+    def test_rejects_mixed_sweep(self):
+        with pytest.raises(JobError, match="mixes Model-1 and Model-2") as exc:
+            compile_job(sweep_payload(apps=["fft", "ep"]))
+        assert "'ep' is inter-block" in str(exc.value)
+
+    def test_rejects_hcc_sweep_model(self):
+        with pytest.raises(JobError, match="spec.model must be one of"):
+            compile_job(sweep_payload(model="hcc"))
 
     def test_rejects_oversized_job(self):
         apps = ["fft", "lu_cont", "volrend", "water_nsq", "barnes",
@@ -119,6 +134,25 @@ class TestCompilation:
             "scenarios": 2, "configs": ["Base"], "engines": ["ref"]}})
         # per scenario: HCC reference + 1 config x 1 engine
         assert len(job.units) == 4
+
+    def test_sweep_kind_follows_apps(self):
+        intra = compile_job(sweep_payload(apps=["volrend"]))
+        inter = compile_job({"kind": "sweep", "spec": {
+            "apps": ["ep"], "configs": ["Addr+L"]}})
+        assert [u.cell.kind for u in intra.units] == ["intra"]
+        assert [u.cell.kind for u in inter.units] == ["inter"]
+        with pytest.raises(JobError, match="unknown workload 'doom'"):
+            compile_job(sweep_payload(apps=["doom"]))
+
+    def test_sweep_model_is_the_memory_model(self):
+        job = compile_job(sweep_payload(configs=["HCC", "B+M+I"], model="rc"))
+        assert [dict(u.cell.kwargs)["model"] for u in job.units] == ["rc", "rc"]
+        # The cache keys HCC as MESI whatever the request says.
+        from repro.eval.cache import describe_cell
+
+        assert [describe_cell(u.cell)["memory_model"] for u in job.units] == [
+            "hcc", "rc",
+        ]
 
     def test_sweep_finalize_shape(self):
         from repro.eval.parallel import SweepExecutor
@@ -181,6 +215,14 @@ class TestModels:
         # the HCC reference never carries a software model
         assert models == [(True, None), (False, "sisd"), (False, "sisd")]
 
+    def test_chaos_cells_carry_the_engine(self):
+        job = compile_job({"kind": "chaos", "spec": {
+            "plans": 1, "workloads": ["mp_flag"], "engine": "fast"}})
+        # every run, the HCC reference included, uses the requested core
+        assert [dict(u.cell.kwargs)["engine"] for u in job.units] == [
+            "fast", "fast", "fast",
+        ]
+
     @pytest.mark.parametrize("kind", ["chaos", "lint"])
     def test_software_kinds_reject_hcc(self, kind):
         with pytest.raises(JobError, match="spec.model must be one of"):
@@ -213,6 +255,12 @@ class TestServerLimits:
         ("chaos", {"workloads": ["mp_flag"], "scale": 5.0}, "scale"),
         ("lint", {"workloads": ["mp_flag"], "scale": 5.0}, "scale"),
         ("fleet", {"scenarios": 257}, "scenarios"),
+        ("sweep", {"apps": ["fft"], "configs": ["Base"], "scale": 99.0},
+         "scale"),
+        ("sweep", {"apps": ["fft"], "configs": ["Base"], "num_threads": 65},
+         "num_threads"),
+        ("sweep", {"apps": ["ep"], "configs": ["Addr"], "num_blocks": 17},
+         "num_blocks"),
     ])
     def test_compiles_but_is_not_admitted(self, kind, spec, field):
         from repro.serve.jobs import check_admission
@@ -227,6 +275,8 @@ class TestServerLimits:
             ("chaos", {"workloads": ["mp_flag"], "plans": 0}),
             ("chaos", {"workloads": ["mp_flag"], "scale": 0}),
             ("fleet", {"scenarios": 0}),
+            ("sweep", {"apps": ["ep"], "configs": ["Addr"],
+                       "cores_per_block": 0}),
         ]:
             with pytest.raises(JobError):
                 compile_job({"kind": kind, "spec": spec})

@@ -18,6 +18,7 @@ from repro.core.config import intra_config
 from repro.eval.parallel import SweepCell, SweepExecutor
 from repro.serve import LocalServer, ServerConfig
 from repro.serve.drill import ServerProc, _free_port, chaos_drill
+from repro.serve.jobs import JOB_SCHEMA
 from repro.serve.journal import JOURNAL_NAME, STALE_SUFFIX
 from repro.serve.loadgen import ResilientClient, RetryPolicy
 
@@ -45,10 +46,9 @@ def wait_for_unit_record(journal_dir, deadline_s=30.0):
 def big_payload(scale=0.5, threads=4):
     """12 units — slow enough on one worker to be killed mid-flight."""
     return {
-        "schema": 1,
+        "schema": JOB_SCHEMA,
         "kind": "sweep",
         "spec": {
-            "model": "intra",
             "apps": list(APPS),
             "configs": list(CONFIGS),
             "scale": scale,
@@ -230,3 +230,36 @@ class TestCacheCorruptionMetrics:
             assert met["cache"]["corrupt_detected"] == 1
             assert met["cache"]["quarantined"] == 1
             assert met["metrics"]["counters"]["cache.corrupt_detected"] == 1
+
+
+class TestSchemaMigration:
+    def test_schema_1_sweep_in_the_journal_is_finalized_failed(self, tmp_path):
+        """A journaled job the current schema rejects fails, never loops."""
+        import json
+
+        from repro.serve.journal import job_digest
+
+        journal = tmp_path / "journal"
+        journal.mkdir()
+        old = {"schema": 1, "kind": "sweep", "spec": {
+            "model": "intra", "apps": ["fft"], "configs": ["Base"]}}
+        (journal / JOURNAL_NAME).write_text(json.dumps({
+            "rec": "submitted", "id": "j00007", "client": "old",
+            "digest": job_digest("sweep", old["spec"], "old"),
+            "payload": old, "units": 1, "ts": 0.0,
+        }) + "\n")
+        cfg = ServerConfig(
+            workers=1, cache_dir=str(tmp_path / "cache"),
+            journal_dir=str(journal), resume=True,
+        )
+        with LocalServer(cfg) as srv:
+            st, met = srv.request("GET", "/v1/metrics")
+        records = [
+            json.loads(line)
+            for line in (journal / JOURNAL_NAME).read_text().splitlines()
+        ]
+        [final] = [r for r in records if r["rec"] == "finalized"]
+        assert final["id"] == "j00007" and final["state"] == "failed"
+        assert "unsupported job schema 1" in final["error"]
+        assert met["metrics"]["counters"]["serve.jobs.recovery_failed"] == 1
+        assert met["durability"]["recovered_jobs"] == 0

@@ -20,15 +20,14 @@ from repro.cli import main
 from repro.core.config import intra_config
 from repro.eval.parallel import SweepCell, SweepExecutor
 from repro.serve import LocalServer, ServerConfig, WorkerFaultPlan
-from repro.serve.jobs import MAX_UNITS, compile_job, run_job
+from repro.serve.jobs import JOB_SCHEMA, MAX_UNITS, compile_job, run_job
 
 
 def sweep_payload(apps=("fft",), configs=("Base",), scale=0.25, threads=4):
     return {
-        "schema": 1,
+        "schema": JOB_SCHEMA,
         "kind": "sweep",
         "spec": {
-            "model": "intra",
             "apps": list(apps),
             "configs": list(configs),
             "scale": scale,
@@ -40,6 +39,9 @@ def sweep_payload(apps=("fft",), configs=("Base",), scale=0.25, threads=4):
 #: One small request per job kind (two for litmus) for the parity check.
 KIND_PAYLOADS = {
     "sweep": sweep_payload(configs=("Base", "B+M+I")),
+    "sweep-rc": {"kind": "sweep", "spec": {
+        "apps": ["ep"], "configs": ["HCC", "Addr+L"], "scale": 0.25,
+        "num_blocks": 2, "cores_per_block": 2, "model": "rc"}},
     "gen": {"kind": "gen", "spec": {
         "pattern": "migratory", "configs": ["Base", "B+M+I"]}},
     "litmus": {"kind": "litmus", "spec": {
@@ -49,6 +51,8 @@ KIND_PAYLOADS = {
         "kernels": ["mp_flag", "lock_handoff_three_threads_broken"]}},
     "chaos": {"kind": "chaos", "spec": {
         "workloads": ["mp_flag"], "plans": 2, "seed": 1, "model": "sisd"}},
+    "chaos-engine": {"kind": "chaos", "spec": {
+        "workloads": ["mp_flag"], "plans": 1, "seed": 2, "engine": "fast"}},
     "lint": {"kind": "lint", "spec": {
         "workloads": ["fft", "redundant_wb_hint"], "model": "rc"}},
     "fleet": {"kind": "fleet", "spec": {
@@ -85,7 +89,7 @@ class TestLifecycle:
         st, health = server.request("GET", "/healthz")
         assert st == 200 and health["ok"] and not health["draining"]
         st, schema = server.request("GET", "/v1/schema")
-        assert st == 200 and schema["schema"] == 1
+        assert st == 200 and schema["schema"] == JOB_SCHEMA == 2
         assert "sweep" in schema["kinds"] and "cancelled" in schema["states"]
         st, metrics = server.request("GET", "/v1/metrics")
         assert st == 200 and metrics["workers"] == 4
@@ -103,6 +107,14 @@ class TestLifecycle:
         assert st == 404
         st, doc = server.request("POST", "/v1/jobs", {"kind": "nope"})
         assert st == 400 and "kind" in doc["error"]
+        st, doc = server.request(
+            "POST", "/v1/jobs", {**sweep_payload(), "schema": 1}
+        )
+        assert st == 400 and "unsupported job schema 1" in doc["error"]
+        st, doc = server.request(
+            "POST", "/v1/jobs", sweep_payload(apps=("fft", "ep"))
+        )
+        assert st == 400 and "'ep' is inter-block" in doc["error"]
         st, doc = server.request("GET", "/v1/nowhere")
         assert st == 404
 
