@@ -694,22 +694,37 @@ def _cmd_bench(args) -> int:
     Runs the fig9 or fig12 sweep job serially in-process (``jobs=1``, no
     result cache) so the wall-clock measures the simulator core and nothing
     else, then archives median/p95 seconds to ``BENCH_<target>.json`` via
-    :mod:`repro.eval.bench`.  ``--profile`` swaps the timing loop for one
-    cProfile'd pass and prints the top 25 functions by cumulative time.
+    :mod:`repro.eval.bench`, with ``cpu_loops`` counting the cells of the
+    last run per CPU loop taken (``fused`` or ``reference: <reason>``).
+    ``--profile`` swaps the timing loop for one cProfile'd pass and prints
+    the top 25 functions by cumulative time.
     """
     from repro.eval import bench
     from repro.eval.parallel import SweepExecutor
     from repro.models import resolve_model
     from repro.serve.jobs import run_job
 
+    from repro.common.errors import ConfigError
+
     apps, configs, _ = _FIGURES[args.target]
+    picked = _names(args.apps)
+    if picked is not None:
+        unknown = sorted(set(picked) - set(apps))
+        if unknown:
+            raise ConfigError(
+                f"--apps: {', '.join(unknown)} not in {args.target} "
+                f"(choose from {', '.join(apps)})"
+            )
+        apps = [a for a in apps if a in picked]
     job = _compile("sweep", _spec(
         apps=apps, configs=configs, scale=args.scale,
         engine=args.engine, model=args.model,
     ))
 
     def sweep():
-        return run_job(job, SweepExecutor(jobs=1))
+        executor = SweepExecutor(jobs=1)
+        run_job(job, executor)
+        return executor.stats.cpu_loops
 
     if args.profile:
         import cProfile
@@ -722,13 +737,20 @@ def _cmd_bench(args) -> int:
         pstats.Stats(prof).sort_stats("cumulative").print_stats(25)
         return 0
 
-    _, seconds = bench.measure(sweep, warmup=args.warmup, repeat=args.repeat)
+    loops, seconds = bench.measure(
+        sweep, warmup=args.warmup, repeat=args.repeat
+    )
     payload = bench.record(
         args.target,
         seconds,
         engine=args.engine,
         warmup=args.warmup,
-        extra={"scale": args.scale, "model": resolve_model(args.model).name},
+        extra={
+            "scale": args.scale,
+            "model": resolve_model(args.model).name,
+            "apps": apps,
+            "cpu_loops": loops,
+        },
     )
     path = bench.write_bench_json(payload, out=args.out)
     print(
@@ -1134,6 +1156,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_MODEL or base)",
     )
     p_bench.add_argument("--scale", type=float, default=1.0)
+    p_bench.add_argument(
+        "--apps", metavar="APP[,APP...]", default=None,
+        help="time only these applications of the target's matrix "
+        "(default: all of them)",
+    )
     p_bench.add_argument(
         "--warmup", type=int, default=0,
         help="untimed warmup runs before measuring (default: 0)",

@@ -20,11 +20,16 @@ Semantics implemented here:
 Timing model: the first line of a multi-line operation pays the full round
 trip to its target level; subsequent lines pipeline behind it at flit-
 injection cost.  Evictions are off the critical path (traffic only).
+
+Subclasses (the memory models of :mod:`repro.models`) that change what a
+plain access does describe the change as :class:`FusedHooks`, so the fast
+engine's fused L1-hit loop runs their hits inline too (see
+:meth:`IncoherentProtocol.fused_hooks`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.coherence.base import Protocol
 from repro.coherence.hierarchy import Hierarchy
@@ -62,6 +67,34 @@ class StaleRead:
         )
 
 
+class FusedHooks(NamedTuple):
+    """One core's plain-access callbacks for the fast engine's fused loop.
+
+    A protocol subclass that changes what a read or write does returns
+    these from :meth:`IncoherentProtocol.fused_hooks`; ``None`` entries
+    keep the base behaviour.  Each callback takes the line address ``la``
+    (and ``fresh`` the resident :class:`CacheLine` and word index):
+
+    * ``admit(la)`` runs before every access; ``False`` hands the whole
+      access to the protocol's :meth:`~IncoherentProtocol.read` /
+      :meth:`~IncoherentProtocol.write`.
+    * ``fresh(la, line, word)`` decides whether a resident line may serve
+      a read hit; ``False`` hands the read to the protocol.
+    * ``on_fill(la)`` runs after an inline L1 fill from the home L2.
+    * ``on_write(la)`` runs after every store the loop completes inline.
+
+    Any access the loop hands over is re-run whole by the protocol, so
+    every callback must be idempotent with that delegated path: running
+    it and then the protocol method must leave the same state as the
+    protocol method alone.
+    """
+
+    admit: Callable[[int], bool] | None = None
+    fresh: Callable[[int, CacheLine, int], bool] | None = None
+    on_fill: Callable[[int], None] | None = None
+    on_write: Callable[[int], None] | None = None
+
+
 class IncoherentProtocol(Protocol):
     """Software-managed hierarchy with WB/INV ISA, MEB/IEB, and ThreadMap."""
 
@@ -90,6 +123,19 @@ class IncoherentProtocol(Protocol):
         self.detect_staleness = detect_staleness
         self._shadow: dict[int, Any] = {}
         self.stale_reads: list[StaleRead] = []
+
+    def fused_hooks(self, core: int) -> FusedHooks | None:
+        """Plain-access callbacks for *core*, or ``None`` for base behaviour.
+
+        The fast engine calls this once per core and runs L1 hits inline
+        around the returned callbacks (see :class:`FusedHooks`).  The base
+        protocol needs none: its hit rule (resident line, refreshed or
+        locally dirty in an IEB-armed epoch) is built into the loop.  A
+        subclass that overrides :meth:`read` or :meth:`write` must
+        override this as well, or the fast engine runs it on the
+        reference loop.
+        """
+        return None
 
     def _check_stale(self, core: int, byte_addr: int, value: Any) -> None:
         word_addr = self.hier.word_addr(byte_addr)

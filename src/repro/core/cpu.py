@@ -54,8 +54,13 @@ class CPU:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
+        self.machine.cpu_loop = self._select_loop()
         self.machine.engine.register_entity()
         self.machine.engine.schedule(0, self._step)
+
+    def _select_loop(self) -> str:
+        """Prepare the execution loop; return its name for ``cpu_loop``."""
+        return "reference"
 
     def _finish(self) -> None:
         self._done = True

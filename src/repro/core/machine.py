@@ -115,6 +115,11 @@ class Machine:
             faults.arm(self)
         self._cpus: list[CPU] = []
         self._ran = False
+        #: Which CPU loop ran: ``"fused"`` or ``"reference: <reason>"``
+        #: (``"reference"`` on the ref engine), recorded when ``run()``
+        #: starts the cores; ``None`` before that.  Kept out of
+        #: :class:`MachineStats` so the engines stay stats-identical.
+        self.cpu_loop: str | None = None
 
     # -- allocation -------------------------------------------------------------
 

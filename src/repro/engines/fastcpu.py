@@ -14,13 +14,22 @@ touch, or per-access float math:
 * batch macro-ops (``ReadBatch``/``WriteBatch``/``CopyBatch``/``AddBatch``)
   run their whole word sequence inside one dispatch.
 
+One loop serves directory MESI; one serves the incoherent hierarchy and
+every memory model built on it (:mod:`repro.models`).  A model describes
+how its plain accesses differ from the base protocol as per-core
+:class:`~repro.coherence.incoherent.FusedHooks` (``admit``, ``fresh``,
+``on_fill``, ``on_write``), which the incoherent loop calls around its
+inline hits and fills; the base protocol has none.
+
 Everything that is not a plain L1 hit — misses, IEB-armed refreshes, MESI
-S-state upgrades, WB/INV instructions, synchronization — delegates to the
-*shared* protocol/sync implementations, so the complex paths have exactly
-one implementation and the fast engine inherits their semantics (and their
-fault-injection hooks) verbatim.  When an observability sink or the
-staleness detector is attached, the whole step falls back to the reference
-loop: instrumented runs are reference runs.
+S-state upgrades, rc lazy refreshes, sisd ownership flips, WB/INV
+instructions, synchronization — delegates to the *shared* protocol/sync
+implementations, so the complex paths have exactly one implementation and
+the fast engine inherits their semantics (and their fault-injection hooks)
+verbatim.  When an observability sink or the staleness detector is
+attached, each core falls back to the reference loop: instrumented runs
+are reference runs.  The loop taken is recorded as ``Machine.cpu_loop``
+(``"fused"`` or ``"reference: <reason>"``).
 
 Bit-identity argument, per fused path (vs. the reference protocols):
 
@@ -29,6 +38,19 @@ Bit-identity argument, per fused path (vs. the reference protocols):
   locally dirty; charges ``l1_hits += 1`` and the overlapped L1 latency.
 * incoherent write hit: resident line; writes the word, sets the per-word
   dirty bit, records a clean→dirty transition in the MEB; same charge.
+* rc read hit: as incoherent, plus ``fresh`` — the line was filled in the
+  current acquire epoch or the word is locally dirty; a stale line goes
+  to ``rc.read``, which runs the lazy refresh.  The inline L2 fill stamps
+  the fill epoch through ``on_fill`` exactly as ``rc._fetch_into_l1``
+  does, and every inline store adds its line to the region write set
+  through ``on_write`` (a set insert, so ``rc.write`` repeating it on a
+  delegated store changes nothing).
+* sisd access: ``admit`` records the first owner and returns True unless
+  the access flips the line private→shared; a flip sends the whole access
+  to ``sisd.read``/``sisd.write`` *before* any fused side effect, so the
+  classifier and transition recovery run in reference order (re-admitting
+  is a no-op for an already-recorded owner).  Admitted hits and fills are
+  the incoherent ones.
 * MESI read hit: resident line in M/E/S; same charge.
 * MESI write hit: resident line in M or E; E→M promotes through the same
   directory fix-ups as the reference (owner, L3 owner_block); same charge.
@@ -38,38 +60,60 @@ All other cases take the exact reference code path.
 
 from __future__ import annotations
 
-from repro.coherence.incoherent import IncoherentProtocol
+from repro.coherence.incoherent import FusedHooks, IncoherentProtocol
 from repro.coherence.mesi import MESIProtocol
 from repro.core.cpu import CPU
 from repro.isa import ops as isa
 from repro.mem.line import CacheLine, MESIState
 from repro.sim.stats import StallCat, TrafficCat
 
+#: Hooks of a protocol with base plain-access behaviour (nothing to call).
+_NO_HOOKS = FusedHooks()
+
 
 class FastCPU(CPU):
     """One core executing one thread through the fused fast paths."""
 
-    __slots__ = ()
+    __slots__ = ("_loop", "_hooks")
 
-    def _step(self) -> None:
-        """Dispatch to a protocol-specialized loop (or the reference one)."""
+    def _select_loop(self) -> str:
+        """Pick this core's loop (and its model's hooks) once, at start."""
         machine = self.machine
         proto = machine.protocol
-        if (
-            machine.tracer is not None
-            or machine.metrics is not None
-            or getattr(proto, "detect_staleness", False)
+        self._loop = self._hooks = None
+        # Instrumented runs take the reference loop wholesale so traces,
+        # metrics, and the staleness shadow are bit-identical.
+        if machine.tracer is not None:
+            return "reference: tracer"
+        if machine.metrics is not None:
+            return "reference: metrics"
+        if getattr(proto, "detect_staleness", False):
+            return "reference: staleness detector"
+        cls = type(proto)
+        if cls is MESIProtocol:
+            self._loop = FastCPU._step_mesi
+        elif isinstance(proto, IncoherentProtocol) and (
+            cls.fused_hooks is not IncoherentProtocol.fused_hooks
+            or (
+                cls.read is IncoherentProtocol.read
+                and cls.write is IncoherentProtocol.write
+            )
         ):
-            # Instrumented runs take the reference loop wholesale so traces,
-            # metrics, and the staleness shadow are bit-identical.
+            self._loop = FastCPU._step_incoherent
+            self._hooks = proto.fused_hooks(self.core_id)
+        else:
+            # An unknown protocol, or one that overrides plain accesses
+            # without describing them as hooks: fused hits would run the
+            # base semantics.
+            return f"reference: unsupported protocol {cls.__name__}"
+        return "fused"
+
+    def _step(self) -> None:
+        """Run the loop chosen at start (or the reference one)."""
+        loop = self._loop
+        if loop is None:
             return CPU._step(self)
-        if type(proto) is IncoherentProtocol:
-            return self._step_incoherent(proto)
-        if type(proto) is MESIProtocol:
-            return self._step_mesi(proto)
-        # Subclassed protocols (rc, sisd — see repro/models/) override hook
-        # methods the packed loops bypass, so they take the reference loop.
-        return CPU._step(self)
+        return loop(self, self.machine.protocol)
 
     # -- incoherent fast loop ----------------------------------------------
 
@@ -96,6 +140,8 @@ class FastCPU(CPU):
         ieb = proto.iebs[core_id]
         use_meb = proto.use_meb
         meb_record = proto.mebs[core_id].record_write
+        # The model's plain-access hooks (all None for the base protocol).
+        admit, fresh, on_fill, on_write = self._hooks or _NO_HOOKS
         proto_read = proto.read
         proto_write = proto.write
         ov = proto._overlapped
@@ -128,9 +174,10 @@ class FastCPU(CPU):
         def l2_fetch(la):
             """Inline ``_fetch_into_l1`` for a plain L1 miss that hits the
             home L2 bank: same touch, same victim handling (delegated), same
-            LINEFILL accounting, same table-driven latency.  Returns ``None``
-            on an L2 miss — the caller then delegates the whole operation to
-            the shared protocol, which re-probes without side effects."""
+            LINEFILL accounting, same table-driven latency, same ``on_fill``
+            hook.  Returns ``None`` on an L2 miss — the caller then delegates
+            the whole operation to the shared protocol, which re-probes
+            without side effects."""
             nonlocal stamp, misses
             if faults is not None:
                 # Chaos runs route every miss through the shared protocol so
@@ -152,6 +199,8 @@ class FastCPU(CPU):
             stamp = l1._stamp
             count_line(linefill)
             misses += 1
+            if on_fill is not None:
+                on_fill(la)
             return line
 
         while True:
@@ -176,14 +225,16 @@ class FastCPU(CPU):
                 addr = op.addr
                 la = addr >> line_shift
                 slot = index_get(la)
-                if slot is not None:
+                if admit is not None and not admit(la):
+                    pass
+                elif slot is not None:
                     word = (addr & off_mask) >> 2
                     line = lines_arr[slot]
                     if (
                         not armed
                         or ieb._mask >> la & 1
                         or line.dirty_mask >> word & 1
-                    ):
+                    ) and (fresh is None or fresh(la, line, word)):
                         stamp += 1
                         stamps[slot] = stamp
                         hits += 1
@@ -211,7 +262,9 @@ class FastCPU(CPU):
                 addr = op.addr
                 la = addr >> line_shift
                 slot = index_get(la)
-                if slot is not None:
+                if admit is not None and not admit(la):
+                    line = None
+                elif slot is not None:
                     line = lines_arr[slot]
                     stamp += 1
                     stamps[slot] = stamp
@@ -223,26 +276,31 @@ class FastCPU(CPU):
                         line.dirty_mask = dm | bit
                         if use_meb:
                             meb_record(la)
+                    if on_write is not None:
+                        on_write(la)
                     hits += 1
                     stores += 1
                     rest_cyc += hit_lat
                     acc += hit_lat
+                    continue
                 else:
                     line = l2_fetch(la)
-                    if line is not None:
-                        word = (addr & off_mask) >> 2
-                        line.data[word] = op.value
-                        line.dirty_mask = 1 << word  # fresh copy was clean
-                        if use_meb:
-                            meb_record(la)
-                        lat = ov(l2_lat_row[la % cpb])
-                    else:
-                        l1._stamp = stamp
-                        lat = proto_write(core_id, addr, op.value)
-                        stamp = l1._stamp
-                    stores += 1
-                    rest_cyc += lat
-                    acc += lat
+                if line is not None:
+                    word = (addr & off_mask) >> 2
+                    line.data[word] = op.value
+                    line.dirty_mask = 1 << word  # fresh copy was clean
+                    if use_meb:
+                        meb_record(la)
+                    if on_write is not None:
+                        on_write(la)
+                    lat = ov(l2_lat_row[la % cpb])
+                else:
+                    l1._stamp = stamp
+                    lat = proto_write(core_id, addr, op.value)
+                    stamp = l1._stamp
+                stores += 1
+                rest_cyc += lat
+                acc += lat
             elif kind is Compute:
                 cycles = int(op.cycles)
                 rest_cyc += cycles
@@ -253,14 +311,16 @@ class FastCPU(CPU):
                 for addr in op.addrs:
                     la = addr >> line_shift
                     slot = index_get(la)
-                    if slot is not None:
+                    if admit is not None and not admit(la):
+                        pass
+                    elif slot is not None:
                         word = (addr & off_mask) >> 2
                         line = lines_arr[slot]
                         if (
                             not armed
                             or ieb._mask >> la & 1
                             or line.dirty_mask >> word & 1
-                        ):
+                        ) and (fresh is None or fresh(la, line, word)):
                             stamp += 1
                             stamps[slot] = stamp
                             hits += 1
@@ -286,9 +346,12 @@ class FastCPU(CPU):
                 send = values
             elif kind is WriteBatch:
                 for addr, value in zip(op.addrs, op.values, strict=True):
+                    stores += 1
                     la = addr >> line_shift
                     slot = index_get(la)
-                    if slot is not None:
+                    if admit is not None and not admit(la):
+                        line = None
+                    elif slot is not None:
                         line = lines_arr[slot]
                         stamp += 1
                         stamps[slot] = stamp
@@ -300,41 +363,49 @@ class FastCPU(CPU):
                             line.dirty_mask = dm | bit
                             if use_meb:
                                 meb_record(la)
+                        if on_write is not None:
+                            on_write(la)
                         hits += 1
                         rest_cyc += hit_lat
                         acc += hit_lat
+                        continue
                     else:
                         line = l2_fetch(la)
-                        if line is not None:
-                            word = (addr & off_mask) >> 2
-                            line.data[word] = value
-                            line.dirty_mask = 1 << word
-                            if use_meb:
-                                meb_record(la)
-                            lat = ov(l2_lat_row[la % cpb])
-                        else:
-                            l1._stamp = stamp
-                            lat = proto_write(core_id, addr, value)
-                            stamp = l1._stamp
-                        rest_cyc += lat
-                        acc += lat
-                    stores += 1
+                    if line is not None:
+                        word = (addr & off_mask) >> 2
+                        line.data[word] = value
+                        line.dirty_mask = 1 << word
+                        if use_meb:
+                            meb_record(la)
+                        if on_write is not None:
+                            on_write(la)
+                        lat = ov(l2_lat_row[la % cpb])
+                    else:
+                        l1._stamp = stamp
+                        lat = proto_write(core_id, addr, value)
+                        stamp = l1._stamp
+                    rest_cyc += lat
+                    acc += lat
             elif kind is CopyBatch or kind is AddBatch:
                 if kind is CopyBatch:
                     pairs = zip(op.src_addrs, op.dst_addrs, strict=True)
                 else:
                     pairs = zip(op.addrs, op.deltas, strict=True)
                 for src, second in pairs:
+                    loads += 1
+                    stores += 1
                     la = src >> line_shift
                     slot = index_get(la)
-                    if slot is not None:
+                    if admit is not None and not admit(la):
+                        line = None
+                    elif slot is not None:
                         word = (src & off_mask) >> 2
                         line = lines_arr[slot]
                         if (
                             not armed
                             or ieb._mask >> la & 1
                             or line.dirty_mask >> word & 1
-                        ):
+                        ) and (fresh is None or fresh(la, line, word)):
                             stamp += 1
                             stamps[slot] = stamp
                             hits += 1
@@ -342,25 +413,22 @@ class FastCPU(CPU):
                             acc += hit_lat
                             value = line.data[word]
                         else:
-                            l1._stamp = stamp
-                            lat, value = proto_read(core_id, src)
-                            stamp = l1._stamp
+                            line = None
+                    elif not armed or ieb._mask >> la & 1:
+                        line = l2_fetch(la)
+                        if line is not None:
+                            lat = l2_lat_row[la % cpb]
                             rest_cyc += lat
                             acc += lat
-                    elif (not armed or ieb._mask >> la & 1) and (
-                        line := l2_fetch(la)
-                    ) is not None:
-                        lat = l2_lat_row[la % cpb]
-                        rest_cyc += lat
-                        acc += lat
-                        value = line.data[(src & off_mask) >> 2]
+                            value = line.data[(src & off_mask) >> 2]
                     else:
+                        line = None
+                    if line is None:
                         l1._stamp = stamp
                         lat, value = proto_read(core_id, src)
                         stamp = l1._stamp
                         rest_cyc += lat
                         acc += lat
-                    loads += 1
                     if kind is CopyBatch:
                         waddr = second
                     else:
@@ -368,37 +436,43 @@ class FastCPU(CPU):
                         value = value + second
                     la = waddr >> line_shift
                     slot = index_get(la)
-                    if slot is not None:
-                        line = lines_arr[slot]
+                    if admit is not None and not admit(la):
+                        wline = None
+                    elif slot is not None:
+                        wline = lines_arr[slot]
                         stamp += 1
                         stamps[slot] = stamp
                         word = (waddr & off_mask) >> 2
-                        line.data[word] = value
+                        wline.data[word] = value
                         bit = 1 << word
-                        dm = line.dirty_mask
+                        dm = wline.dirty_mask
                         if not dm & bit:
-                            line.dirty_mask = dm | bit
+                            wline.dirty_mask = dm | bit
                             if use_meb:
                                 meb_record(la)
+                        if on_write is not None:
+                            on_write(la)
                         hits += 1
                         rest_cyc += hit_lat
                         acc += hit_lat
+                        continue
                     else:
                         wline = l2_fetch(la)
-                        if wline is not None:
-                            word = (waddr & off_mask) >> 2
-                            wline.data[word] = value
-                            wline.dirty_mask = 1 << word
-                            if use_meb:
-                                meb_record(la)
-                            lat = ov(l2_lat_row[la % cpb])
-                        else:
-                            l1._stamp = stamp
-                            lat = proto_write(core_id, waddr, value)
-                            stamp = l1._stamp
-                        rest_cyc += lat
-                        acc += lat
-                    stores += 1
+                    if wline is not None:
+                        word = (waddr & off_mask) >> 2
+                        wline.data[word] = value
+                        wline.dirty_mask = 1 << word
+                        if use_meb:
+                            meb_record(la)
+                        if on_write is not None:
+                            on_write(la)
+                        lat = ov(l2_lat_row[la % cpb])
+                    else:
+                        l1._stamp = stamp
+                        lat = proto_write(core_id, waddr, value)
+                        stamp = l1._stamp
+                    rest_cyc += lat
+                    acc += lat
             elif isinstance(op, isa.SYNC_OPS):
                 l1._stamp = stamp
                 stats.loads += loads

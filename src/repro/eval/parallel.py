@@ -85,6 +85,8 @@ class SweepStats:
     retries: int = 0
     pool_fallbacks: int = 0
     wall_seconds: float = 0.0
+    #: Simulated cells per CPU loop taken (``RunResult.cpu_loop``).
+    cpu_loops: dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> str:
         """One-line human-readable digest of the accumulated counters."""
@@ -164,8 +166,11 @@ class SweepExecutor:
             else:
                 computed = [_run_cell(c) for c in todo]
             self.stats.simulated += len(todo)
+            loops = self.stats.cpu_loops
             for i, result in zip(pending, computed):
                 results[i] = result
+                if result.cpu_loop is not None:
+                    loops[result.cpu_loop] = loops.get(result.cpu_loop, 0) + 1
                 if self.cache is not None:
                     self.cache.put(cells[i], result)
 

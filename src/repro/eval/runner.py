@@ -9,7 +9,7 @@ Every run is functionally verified before its statistics are reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigError
 from repro.common.params import MachineParams, inter_block_machine, intra_block_machine
@@ -32,7 +32,10 @@ class RunResult:
     absent from the dict form) for plain sweep runs.  ``faults`` is the
     :meth:`repro.faults.injector.FaultInjector.snapshot` of a degraded run
     and ``memory_digest`` the post-run main-memory fingerprint — both also
-    ``None``/absent unless requested.
+    ``None``/absent unless requested.  ``cpu_loop`` is the simulated
+    machine's :attr:`~repro.core.machine.Machine.cpu_loop`; it describes
+    how this process ran the cell, not the result, so it is neither
+    compared nor cached (a cache hit reports ``None``).
     """
 
     app: str
@@ -41,6 +44,7 @@ class RunResult:
     metrics: dict | None = None
     faults: dict | None = None
     memory_digest: str | None = None
+    cpu_loop: str | None = field(default=None, compare=False)
 
     @property
     def exec_time(self) -> int:
@@ -103,6 +107,7 @@ def _finish_result(
         metrics.snapshot() if metrics is not None else None,
         injector.snapshot() if injector is not None else None,
         image_digest(machine.hier.memory.image()) if memory_digest else None,
+        machine.cpu_loop,
     )
 
 

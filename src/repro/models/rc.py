@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.coherence.hierarchy import Hierarchy
-from repro.coherence.incoherent import IncoherentProtocol
+from repro.coherence.incoherent import FusedHooks, IncoherentProtocol
 from repro.coherence.threadmap import ThreadMapTable
 from repro.mem.line import CacheLine
 
@@ -66,6 +66,36 @@ class RegionalConsistencyProtocol(IncoherentProtocol):
         self._acq_epoch: list[int] = [0] * n
         #: Epoch each resident line was last filled in.
         self._line_epoch: list[dict[int, int]] = [{} for _ in range(n)]
+        #: Per-core plain-access rules, shared by :meth:`read`, the fill
+        #: path, and the fast engine's fused loop (:meth:`fused_hooks`).
+        self._hooks = [self._make_hooks(core) for core in range(n)]
+
+    def _make_hooks(self, core: int) -> FusedHooks:
+        acq_epoch = self._acq_epoch
+        line_epoch = self._line_epoch[core]
+        epoch_of = line_epoch.get
+
+        def fresh(la: int, line: CacheLine, word: int) -> bool:
+            """Filled in the current acquire epoch, or the word is ours."""
+            return (
+                epoch_of(la, -1) >= acq_epoch[core]
+                or line.dirty_mask >> word & 1 == 1
+            )
+
+        def on_fill(la: int) -> None:
+            # Every fill counts as fresh for the current region.
+            line_epoch[la] = acq_epoch[core]
+
+        # The containers above are mutated in place, never reassigned, so
+        # the callbacks stay bound to live state.
+        return FusedHooks(
+            fresh=fresh, on_fill=on_fill,
+            on_write=self._region_writes[core].add,
+        )
+
+    def fused_hooks(self, core: int) -> FusedHooks:
+        """Lazy-refresh check, fill-epoch stamp, and region-set insert."""
+        return self._hooks[core]
 
     # -- region bookkeeping -------------------------------------------------
 
@@ -88,7 +118,7 @@ class RegionalConsistencyProtocol(IncoherentProtocol):
         lat, line = super()._fetch_into_l1(core, line_addr)
         # Stamp every fill with the current epoch so read-misses, write
         # allocations, and refreshes all count as fresh for this region.
-        self._line_epoch[core][line_addr] = self._acq_epoch[core]
+        self._hooks[core].on_fill(line_addr)
         return lat, line
 
     # -- plain accesses -----------------------------------------------------
@@ -98,11 +128,8 @@ class RegionalConsistencyProtocol(IncoherentProtocol):
         line_addr = hier.line_of(byte_addr)
         l1 = hier.l1s[core]
         line = l1.lookup(line_addr)
-        if (
-            line is not None
-            and self._line_epoch[core].get(line_addr, -1)
-            < self._acq_epoch[core]
-            and not line.is_word_dirty(hier.word_of(byte_addr))
+        if line is not None and not self._hooks[core].fresh(
+            line_addr, line, hier.word_of(byte_addr)
         ):
             # First read of a pre-region line: lazy refresh (the acquire's
             # deferred invalidation).  Words this core dirtied survive —
@@ -122,7 +149,7 @@ class RegionalConsistencyProtocol(IncoherentProtocol):
         return super().read(core, byte_addr)
 
     def write(self, core: int, byte_addr: int, value: Any) -> int:
-        self._region_writes[core].add(self.hier.line_of(byte_addr))
+        self._hooks[core].on_write(self.hier.line_of(byte_addr))
         return super().write(core, byte_addr, value)
 
     # -- WB flavors: region-scoped ALLs ------------------------------------

@@ -33,10 +33,10 @@ lines dropped).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.coherence.hierarchy import Hierarchy
-from repro.coherence.incoherent import IncoherentProtocol
+from repro.coherence.incoherent import FusedHooks, IncoherentProtocol
 from repro.coherence.threadmap import ThreadMapTable
 
 
@@ -65,8 +65,33 @@ class SelfInvalidationProtocol(IncoherentProtocol):
         self._owner: dict[int, int] = {}
         #: Lines ever touched by a second core; membership is permanent.
         self._shared: set[int] = set()
+        #: Per-core classifier fast path, shared by :meth:`_classify` and
+        #: the fast engine's fused loop (:meth:`fused_hooks`).
+        self._hooks = [
+            FusedHooks(admit=self._make_admit(core))
+            for core in range(self.machine.num_cores)
+        ]
 
     # -- classifier ---------------------------------------------------------
+
+    def _make_admit(self, core: int) -> Callable[[int], bool]:
+        owners = self._owner
+        owner_of = owners.get
+        shared = self._shared
+
+        def admit(la: int) -> bool:
+            """Record *core*'s access to *la*; False when it flips the line."""
+            owner = owner_of(la)
+            if owner is None:
+                owners[la] = core
+                return True
+            return owner == core or la in shared
+
+        return admit
+
+    def fused_hooks(self, core: int) -> FusedHooks:
+        """The classifier: plain hits only while no private→shared flip."""
+        return self._hooks[core]
 
     def _classify(self, core: int, byte_addr: int) -> int:
         """Record this access; on a private→shared flip, run recovery.
@@ -75,15 +100,11 @@ class SelfInvalidationProtocol(IncoherentProtocol):
         the fast path — owner hit or already-shared line).
         """
         la = self.hier.line_of(byte_addr)
-        owner = self._owner.get(la)
-        if owner is None:
-            self._owner[la] = core
-            return 0
-        if owner == core or la in self._shared:
+        if self._hooks[core].admit(la):
             return 0
         self._shared.add(la)
         self.stats.sisd_transitions += 1
-        return self._transition_recovery(core, la, owner)
+        return self._transition_recovery(core, la, self._owner[la])
 
     def _transition_recovery(self, core: int, la: int, owner: int) -> int:
         """Make the owner's private dirty data reachable by *every* sharer.

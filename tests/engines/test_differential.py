@@ -12,6 +12,11 @@ kernels and workloads exercise *sensible* programs, while Hypothesis
 explores the weird corners (INV of dirty data, WB of clean lines, epochs
 around batches, redundant annotations) where a fused fast path is most
 likely to drift from the per-op reference.
+
+The memory model is drawn from the registry too, so the same programs
+run the fused loop through every model's hooks: rc acquire-epoch bumps
+and region flushes, and sisd private→shared flips, landing in the
+middle of batch macro-ops.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from repro.common.params import WORD_BYTES, intra_block_machine
 from repro.core.config import INTRA_BASE, INTRA_BMI, INTRA_HCC
 from repro.core.machine import Machine
 from repro.isa import ops as isa
+from repro.models import available_models
 
 NTHREADS = 3
 NWORDS = 48  # three cache lines' worth of shared words
@@ -100,11 +106,12 @@ def _emit(instr, arr, obs):
         yield isa.EpochEnd()
 
 
-def _run(programs, config, engine):
+def _run(programs, config, engine, model=None):
     """One deterministic run; returns (stats dict, observations, memory)."""
     coherent = config.hardware_coherent
     machine = Machine(
-        intra_block_machine(4), config, num_threads=NTHREADS, engine=engine
+        intra_block_machine(4), config, num_threads=NTHREADS, engine=engine,
+        model=model,
     )
     arr = machine.array("a", NWORDS)
     obs: dict[int, list] = {}
@@ -124,10 +131,70 @@ def _run(programs, config, engine):
     return stats.to_dict(), obs, machine.read_array(arr)
 
 
-@settings(max_examples=30, deadline=None)
-@given(programs=_programs, config=st.sampled_from([INTRA_BASE, INTRA_BMI,
-                                                   INTRA_HCC]))
-def test_random_programs_engine_equivalent(programs, config):
-    ref = _run(programs, config, "ref")
-    fast = _run(programs, config, "fast")
+def _configs_for(model):
+    """Table II configs a model runs under: HCC for hcc, incoherent else."""
+    if model == "hcc":
+        return [INTRA_HCC]
+    return [INTRA_BASE, INTRA_BMI]
+
+
+_model_cells = st.sampled_from(available_models()).flatmap(
+    lambda m: st.tuples(st.just(m), st.sampled_from(_configs_for(m)))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs=_programs, cell=_model_cells)
+def test_random_programs_engine_equivalent(programs, cell):
+    model, config = cell
+    ref = _run(programs, config, "ref", model)
+    fast = _run(programs, config, "fast", model)
     assert fast == ref
+
+
+def _mid_batch_program(tid, arr):
+    """Batches that cross another thread's lines and an acquire boundary."""
+    mine = [tid * 16 + i for i in range(16)]
+    theirs = [((tid + 1) % NTHREADS) * 16 + i for i in range(16)]
+
+    def program(ctx):
+        yield isa.WriteBatch([arr.addr(i) for i in mine], list(range(16)))
+        yield isa.Compute(50 * (tid + 1))
+        # Reads of the neighbour's lines flip them shared under sisd.
+        yield isa.ReadBatch([arr.addr(i) for i in mine[:4] + theirs])
+        yield isa.WBAll()
+        yield isa.INVAll()
+        # Lines filled before the INV ALL are stale under rc: the batch
+        # mixes lazy refreshes with locally dirty (hence fresh) words.
+        yield isa.Write(arr.addr(mine[0]), 99)
+        yield isa.AddBatch([arr.addr(i) for i in mine[:8]], [1] * 8)
+        yield isa.CopyBatch([arr.addr(i) for i in theirs[:4]],
+                            [arr.addr(i) for i in mine[8:12]])
+        yield isa.WBAll()
+
+    return program
+
+
+def _run_mid_batch(model, engine):
+    machine = Machine(intra_block_machine(4), INTRA_BASE,
+                      num_threads=NTHREADS, engine=engine, model=model)
+    arr = machine.array("a", NWORDS)
+    for tid in range(NTHREADS):
+        machine.spawn(_mid_batch_program(tid, arr))
+    stats = machine.run()
+    return machine, stats.to_dict(), machine.read_array(arr)
+
+
+def test_model_transitions_mid_batch_engine_equivalent():
+    """The differential above reaches each model's slow paths mid-batch."""
+    counters = {
+        "rc": ("rc_lazy_refreshes", "rc_region_wb_lines"),
+        "sisd": ("sisd_transitions", "sisd_self_invalidations"),
+    }
+    for model, names in counters.items():
+        _, ref_stats, ref_mem = _run_mid_batch(model, "ref")
+        machine, fast_stats, fast_mem = _run_mid_batch(model, "fast")
+        assert machine.cpu_loop == "fused"
+        assert (fast_stats, fast_mem) == (ref_stats, ref_mem)
+        for name in names:
+            assert ref_stats[name] > 0, (model, name)

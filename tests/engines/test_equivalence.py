@@ -9,7 +9,9 @@ image of the reference core.  This module enforces that contract on
   read is deterministic in simulation, so even divergent programs must
   diverge *identically* on both engines) under every Table II
   configuration of its machine family, and
-* a sample of the real SPLASH-2/NAS workloads at reduced scale.
+* a sample of the real SPLASH-2/NAS workloads at reduced scale, under
+  the base model and under the rc and sisd models (whose fast-engine
+  hits run through the protocol's fused hooks).
 
 The CI ``fastcore-equivalence`` job runs this file on every push; the full
 workload matrix is covered by the figure-golden tests run under
@@ -82,6 +84,49 @@ def test_inter_workload_engine_equivalence(app, config):
     ref = run_inter(app, cfg, scale=0.4, memory_digest=True, engine="ref")
     fast = run_inter(app, cfg, scale=0.4, memory_digest=True, engine="fast")
     assert _result_fingerprint(fast) == _result_fingerprint(ref)
+
+
+def _outcome(run, *args, **kwargs):
+    """A run's fingerprint, or its verifier failure as (type, message)."""
+    try:
+        return _result_fingerprint(run(*args, **kwargs))
+    except AssertionError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+_MODEL_CELLS = [
+    ("intra", "fft", "B+M+I", "rc"),
+    ("intra", "water_nsq", "B+M", "rc"),
+    ("intra", "volrend", "Base", "sisd"),
+    ("intra", "barnes", "B+I", "sisd"),
+    ("inter", "cg", "Addr+L", "rc"),
+    ("inter", "jacobi", "Base", "sisd"),
+]
+
+
+@pytest.mark.parametrize("kind,app,config,model", _MODEL_CELLS)
+def test_model_workload_engine_equivalence(kind, app, config, model):
+    """rc/sisd cells: both engines agree, and both pass the verifier."""
+    run, cfg = (
+        (run_intra, intra_config(config)) if kind == "intra"
+        else (run_inter, inter_config(config))
+    )
+    ref = _outcome(run, app, cfg, scale=0.4, memory_digest=True,
+                   engine="ref", model=model)
+    fast = _outcome(run, app, cfg, scale=0.4, memory_digest=True,
+                    engine="fast", model=model)
+    assert isinstance(ref, dict), ref
+    assert fast == ref
+
+
+def test_known_sisd_failure_is_engine_identical():
+    """raytrace/Base under sisd fails its verifier (a known model defect,
+    see ROADMAP.md); the fused loop must fail it with the same message."""
+    cfg = intra_config("Base")
+    ref = _outcome(run_intra, "raytrace", cfg, engine="ref", model="sisd")
+    fast = _outcome(run_intra, "raytrace", cfg, engine="fast", model="sisd")
+    assert ref == ("AssertionError", "progress total 145 != 128")
+    assert fast == ref
 
 
 def test_engine_registry_resolution(monkeypatch):
