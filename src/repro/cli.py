@@ -699,12 +699,11 @@ def _cmd_bench(args) -> int:
     ``--profile`` swaps the timing loop for one cProfile'd pass and prints
     the top 25 functions by cumulative time.
     """
+    from repro.common.errors import ConfigError
     from repro.eval import bench
     from repro.eval.parallel import SweepExecutor
     from repro.models import resolve_model
     from repro.serve.jobs import run_job
-
-    from repro.common.errors import ConfigError
 
     apps, configs, _ = _FIGURES[args.target]
     picked = _names(args.apps)

@@ -95,6 +95,10 @@ class FusedHooks(NamedTuple):
     on_write: Callable[[int], None] | None = None
 
 
+#: The base protocol's hooks: nothing beyond the loop's built-in rules.
+_BASE_HOOKS = FusedHooks()
+
+
 class IncoherentProtocol(Protocol):
     """Software-managed hierarchy with WB/INV ISA, MEB/IEB, and ThreadMap."""
 
@@ -124,18 +128,17 @@ class IncoherentProtocol(Protocol):
         self._shadow: dict[int, Any] = {}
         self.stale_reads: list[StaleRead] = []
 
-    def fused_hooks(self, core: int) -> FusedHooks | None:
-        """Plain-access callbacks for *core*, or ``None`` for base behaviour.
+    def fused_hooks(self, core: int) -> FusedHooks:
+        """Plain-access callbacks for *core* (see :class:`FusedHooks`).
 
         The fast engine calls this once per core and runs L1 hits inline
-        around the returned callbacks (see :class:`FusedHooks`).  The base
-        protocol needs none: its hit rule (resident line, refreshed or
-        locally dirty in an IEB-armed epoch) is built into the loop.  A
-        subclass that overrides :meth:`read` or :meth:`write` must
-        override this as well, or the fast engine runs it on the
-        reference loop.
+        around the returned callbacks.  The base protocol needs none: its
+        hit rule (resident line, refreshed or locally dirty in an
+        IEB-armed epoch) is built into the loop.  A subclass that
+        overrides :meth:`read` or :meth:`write` must override this as
+        well, or the fast engine runs it on the reference loop.
         """
-        return None
+        return _BASE_HOOKS
 
     def _check_stale(self, core: int, byte_addr: int, value: Any) -> None:
         word_addr = self.hier.word_addr(byte_addr)

@@ -60,15 +60,12 @@ All other cases take the exact reference code path.
 
 from __future__ import annotations
 
-from repro.coherence.incoherent import FusedHooks, IncoherentProtocol
+from repro.coherence.incoherent import IncoherentProtocol
 from repro.coherence.mesi import MESIProtocol
 from repro.core.cpu import CPU
 from repro.isa import ops as isa
 from repro.mem.line import CacheLine, MESIState
 from repro.sim.stats import StallCat, TrafficCat
-
-#: Hooks of a protocol with base plain-access behaviour (nothing to call).
-_NO_HOOKS = FusedHooks()
 
 
 class FastCPU(CPU):
@@ -141,7 +138,7 @@ class FastCPU(CPU):
         use_meb = proto.use_meb
         meb_record = proto.mebs[core_id].record_write
         # The model's plain-access hooks (all None for the base protocol).
-        admit, fresh, on_fill, on_write = self._hooks or _NO_HOOKS
+        admit, fresh, on_fill, on_write = self._hooks
         proto_read = proto.read
         proto_write = proto.write
         ov = proto._overlapped

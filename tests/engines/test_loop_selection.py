@@ -15,7 +15,7 @@ from repro.common.params import intra_block_machine
 from repro.core.config import INTRA_BASE, INTRA_BMI, INTRA_HCC
 from repro.core.machine import Machine
 from repro.isa import ops as isa
-from repro.models import available_models, software_models
+from repro.models import software_models
 from repro.obs.metrics import Metrics
 from repro.obs.trace import Tracer
 
@@ -45,7 +45,6 @@ def test_every_software_model_takes_the_fused_loop(model, config):
 
 
 def test_mesi_takes_the_fused_loop():
-    assert "hcc" in available_models()
     assert _run(INTRA_HCC, "fast").cpu_loop == "fused"
 
 
