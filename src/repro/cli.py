@@ -699,22 +699,12 @@ def _cmd_bench(args) -> int:
     ``--profile`` swaps the timing loop for one cProfile'd pass and prints
     the top 25 functions by cumulative time.
     """
-    from repro.common.errors import ConfigError
     from repro.eval import bench
     from repro.eval.parallel import SweepExecutor
     from repro.models import resolve_model
     from repro.serve.jobs import run_job
 
     apps, configs, _ = _FIGURES[args.target]
-    picked = _names(args.apps)
-    if picked is not None:
-        unknown = sorted(set(picked) - set(apps))
-        if unknown:
-            raise ConfigError(
-                f"--apps: {', '.join(unknown)} not in {args.target} "
-                f"(choose from {', '.join(apps)})"
-            )
-        apps = [a for a in apps if a in picked]
     job = _compile("sweep", _spec(
         apps=apps, configs=configs, scale=args.scale,
         engine=args.engine, model=args.model,
@@ -747,7 +737,6 @@ def _cmd_bench(args) -> int:
         extra={
             "scale": args.scale,
             "model": resolve_model(args.model).name,
-            "apps": apps,
             "cpu_loops": loops,
         },
     )
@@ -1155,11 +1144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_MODEL or base)",
     )
     p_bench.add_argument("--scale", type=float, default=1.0)
-    p_bench.add_argument(
-        "--apps", metavar="APP[,APP...]", default=None,
-        help="time only these applications of the target's matrix "
-        "(default: all of them)",
-    )
     p_bench.add_argument(
         "--warmup", type=int, default=0,
         help="untimed warmup runs before measuring (default: 0)",

@@ -76,23 +76,14 @@ class TestRecord:
         assert (payload["engine"], payload["model"]) == ("ref", "base")
         assert payload["cpu_loops"] == {"reference": 16}  # 4 apps x 4 configs
 
-    def test_cli_records_the_fused_loop_and_app_subset(self, tmp_path,
-                                                       capsys):
+    def test_cli_records_the_fused_loop(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "bench.json"
-        assert main(["bench", "fig9", "--engine", "fast", "--model", "sisd",
-                     "--apps", "fft,lu_cont", "--scale", "0.1",
-                     "--out", str(out)]) == 0
+        assert main(["bench", "fig12", "--engine", "fast", "--model", "sisd",
+                     "--scale", "0.1", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["apps"] == ["fft", "lu_cont"]
-        assert payload["cpu_loops"] == {"fused": 10}
-
-    def test_cli_rejects_apps_outside_the_target(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench", "fig9", "--apps", "fft,cg"]) == 2
-        assert "--apps: cg not in fig9" in capsys.readouterr().err
+        assert payload["cpu_loops"] == {"fused": 16}
 
 
 class TestWriteJson:
