@@ -14,9 +14,62 @@ no WB/INV instructions are inserted.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from repro.coherence.hierarchy import Hierarchy
+from repro.coherence.ieb import IEB
+from repro.coherence.meb import MEB
+from repro.mem.line import CacheLine, MESIState
+
+
+class FusedHooks(NamedTuple):
+    """One core's rules for the fast engine's fused L1-hit loop.
+
+    :meth:`Protocol.fused_hooks` returns these once per core, when the
+    loop binds its locals.  The loop serves a plain access inline only
+    where these rules say the protocol would do nothing but touch the L1;
+    every other access goes whole to the protocol's :meth:`~Protocol.read`
+    / :meth:`~Protocol.write`.  A resident line serves reads inline (in
+    an IEB-armed epoch only once refreshed, or for a locally dirty word).
+
+    What the hierarchy has:
+
+    * ``store_state``: the state a resident line must be in for a store
+      to complete inline.  Incoherent lines stay ``NA``, so any resident
+      line takes stores; MESI needs ``M``.
+    * ``ieb``: the core's IEB, which gates read hits and fills in armed
+      epochs; ``None`` when the protocol has none.
+    * ``meb``: the core's MEB, which records each clean→dirty store;
+      ``None`` when nothing records.
+    * ``fill``: whether a plain L1 miss that hits the home L2 bank is
+      filled inline with the incoherent fill; ``False`` sends every miss
+      to the protocol.
+
+    How a memory model's plain accesses differ from the incoherent base
+    (``None`` keeps the base rule).  Each callback takes the line address
+    ``la`` (and ``fresh`` the resident :class:`CacheLine` and word index):
+
+    * ``admit(la)`` runs before every access; ``False`` hands the whole
+      access to the protocol.
+    * ``fresh(la, line, word)`` decides whether a resident line may serve
+      a read hit; ``False`` hands the read to the protocol.
+    * ``on_fill(la)`` runs after an inline L1 fill from the home L2.
+    * ``on_write(la)`` runs after every store the loop completes inline.
+
+    Any access the loop hands over is re-run whole by the protocol, so
+    every callback must be idempotent with that delegated path: running
+    it and then the protocol method must leave the same state as the
+    protocol method alone.
+    """
+
+    admit: Callable[[int], bool] | None = None
+    fresh: Callable[[int, CacheLine, int], bool] | None = None
+    on_fill: Callable[[int], None] | None = None
+    on_write: Callable[[int], None] | None = None
+    store_state: MESIState = MESIState.NA
+    ieb: IEB | None = None
+    meb: MEB | None = None
+    fill: bool = False
 
 
 class Protocol(ABC):
@@ -46,6 +99,18 @@ class Protocol(ABC):
     @abstractmethod
     def write(self, core: int, byte_addr: int, value: Any) -> int:
         """Store one word; return latency."""
+
+    def fused_hooks(self, core: int) -> FusedHooks:
+        """*core*'s rules for the fast engine's fused loop (see
+        :class:`FusedHooks`).
+
+        The fast engine calls this once per core, and only when the class
+        that defines it is the class defining :meth:`read` and
+        :meth:`write` or a subclass of both: a protocol that overrides a
+        plain access without restating its rules runs on the reference
+        loop.
+        """
+        raise NotImplementedError(type(self).__name__)
 
     # -- WB flavors ------------------------------------------------------------
 

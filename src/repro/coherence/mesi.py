@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.coherence.base import Protocol
+from repro.coherence.base import FusedHooks, Protocol
 from repro.coherence.hierarchy import Hierarchy
 from repro.mem.line import CacheLine, MESIState
 from repro.sim.stats import TrafficCat
@@ -60,6 +60,14 @@ class L3DirEntry:
     owner_block: int | None = None  # block holding the line dirty
 
 
+#: MESI's fused-loop rules: a store completes inline only on an M line
+#: (E→M and S→M go through :meth:`MESIProtocol.write`'s directory
+#: fix-ups); no IEB or MEB; every miss goes to the directory.  Reads need
+#: no rule of their own: an invalidated copy leaves the L1, so a resident
+#: line is never ``I``.
+_FUSED_HOOKS = FusedHooks(store_state=MESIState.M)
+
+
 class MESIProtocol(Protocol):
     """Directory MESI over the same physical hierarchy as the incoherent design."""
 
@@ -73,6 +81,9 @@ class MESIProtocol(Protocol):
         self._l3_dir: dict[int, L3DirEntry] = {}
         #: WB/INV instructions swallowed (should stay 0 in proper HCC runs).
         self.ignored_wbinv_ops = 0
+
+    def fused_hooks(self, core: int) -> FusedHooks:
+        return _FUSED_HOOKS
 
     # ------------------------------------------------------------------
     # directory helpers

@@ -1,10 +1,10 @@
 """Fast-engine core: fused L1-hit execution behind the CPU interface.
 
-:class:`FastCPU` overrides :meth:`repro.core.cpu.CPU._step` with two
-protocol-specialized loops that execute L1 *hits* — by far the most common
-memory operation — inline against the :class:`~repro.engines.fastcache.
-PackedCache` arrays, without a protocol method call, a dict-reorder LRU
-touch, or per-access float math:
+:class:`FastCPU` overrides :meth:`repro.core.cpu.CPU._step` with one fused
+loop that executes L1 *hits* — by far the most common memory operation —
+inline against the :class:`~repro.engines.fastcache.PackedCache` arrays,
+without a protocol method call, a dict-reorder LRU touch, or per-access
+float math:
 
 * address arithmetic is shift/mask (line sizes are powers of two),
 * the hit latency ``max(1, round(l1_rt * (1 - overlap)))`` is a
@@ -14,15 +14,17 @@ touch, or per-access float math:
 * batch macro-ops (``ReadBatch``/``WriteBatch``/``CopyBatch``/``AddBatch``)
   run their whole word sequence inside one dispatch.
 
-One loop serves directory MESI; one serves the incoherent hierarchy and
-every memory model built on it (:mod:`repro.models`).  A model describes
-how its plain accesses differ from the base protocol as per-core
-:class:`~repro.coherence.incoherent.FusedHooks` (``admit``, ``fresh``,
-``on_fill``, ``on_write``), which the incoherent loop calls around its
-inline hits and fills; the base protocol has none.
+The same loop serves directory MESI, the incoherent hierarchy, and every
+memory model built on it (:mod:`repro.models`).  Each protocol states its
+rules once per core as :class:`~repro.coherence.base.FusedHooks`, read when
+the loop binds its locals: the line state a store needs to complete
+inline, its IEB and MEB (if any), whether a miss may be filled inline
+from the home L2, and the model callbacks (``admit``, ``fresh``,
+``on_fill``, ``on_write``) that the loop calls around its inline hits and
+fills.
 
 Everything that is not a plain L1 hit — misses, IEB-armed refreshes, MESI
-S-state upgrades, rc lazy refreshes, sisd ownership flips, WB/INV
+E/S-state stores, rc lazy refreshes, sisd ownership flips, WB/INV
 instructions, synchronization — delegates to the *shared* protocol/sync
 implementations, so the complex paths have exactly one implementation and
 the fast engine inherits their semantics (and their fault-injection hooks)
@@ -51,33 +53,40 @@ Bit-identity argument, per fused path (vs. the reference protocols):
   classifier and transition recovery run in reference order (re-admitting
   is a no-op for an already-recorded owner).  Admitted hits and fills are
   the incoherent ones.
-* MESI read hit: resident line in M/E/S; same charge.
-* MESI write hit: resident line in M or E; E→M promotes through the same
-  directory fix-ups as the reference (owner, L3 owner_block); same charge.
+* MESI read hit: resident line (an invalidated copy leaves the L1, so a
+  resident line is M, E or S) with no IEB; same charge.
+* MESI write hit: resident line in M only.  An E store (E→M with the
+  directory owner and L3 ``owner_block`` fix-ups) and an S store (the
+  S→M upgrade) go to ``MESIProtocol.write``; so does every miss.
 
 All other cases take the exact reference code path.
 """
 
 from __future__ import annotations
 
-from repro.coherence.incoherent import IncoherentProtocol
-from repro.coherence.mesi import MESIProtocol
+from repro.coherence.base import Protocol
 from repro.core.cpu import CPU
 from repro.isa import ops as isa
-from repro.mem.line import CacheLine, MESIState
+from repro.mem.line import CacheLine
 from repro.sim.stats import StallCat, TrafficCat
+
+
+def _defined_in(cls: type, name: str) -> type:
+    """The class in *cls*'s MRO whose body defines attribute *name*."""
+    return next(k for k in cls.__mro__ if name in vars(k))
 
 
 class FastCPU(CPU):
     """One core executing one thread through the fused fast paths."""
 
-    __slots__ = ("_loop", "_hooks")
+    __slots__ = ("_hooks",)
 
     def _select_loop(self) -> str:
-        """Pick this core's loop (and its model's hooks) once, at start."""
+        """Bind this core's fused rules once, at start (or name the
+        reason it takes the reference loop)."""
         machine = self.machine
         proto = machine.protocol
-        self._loop = self._hooks = None
+        self._hooks = None
         # Instrumented runs take the reference loop wholesale so traces,
         # metrics, and the staleness shadow are bit-identical.
         if machine.tracer is not None:
@@ -87,34 +96,26 @@ class FastCPU(CPU):
         if getattr(proto, "detect_staleness", False):
             return "reference: staleness detector"
         cls = type(proto)
-        if cls is MESIProtocol:
-            self._loop = FastCPU._step_mesi
-        elif isinstance(proto, IncoherentProtocol) and (
-            cls.fused_hooks is not IncoherentProtocol.fused_hooks
-            or (
-                cls.read is IncoherentProtocol.read
-                and cls.write is IncoherentProtocol.write
-            )
+        hooks_owner = _defined_in(cls, "fused_hooks")
+        if not (
+            issubclass(hooks_owner, _defined_in(cls, "read"))
+            and issubclass(hooks_owner, _defined_in(cls, "write"))
         ):
-            self._loop = FastCPU._step_incoherent
-            self._hooks = proto.fused_hooks(self.core_id)
-        else:
-            # An unknown protocol, or one that overrides plain accesses
-            # without describing them as hooks: fused hits would run the
-            # base semantics.
+            # A protocol that overrides plain accesses without restating
+            # its fused rules: fused hits would run its parent's semantics.
             return f"reference: unsupported protocol {cls.__name__}"
+        self._hooks = proto.fused_hooks(self.core_id)
         return "fused"
 
     def _step(self) -> None:
-        """Run the loop chosen at start (or the reference one)."""
-        loop = self._loop
-        if loop is None:
+        """Run the fused loop (or the reference one)."""
+        if self._hooks is None:
             return CPU._step(self)
-        return loop(self, self.machine.protocol)
+        return self._step_fused(self.machine.protocol)
 
-    # -- incoherent fast loop ----------------------------------------------
+    # -- the fused loop -----------------------------------------------------
 
-    def _step_incoherent(self, proto: IncoherentProtocol) -> None:
+    def _step_fused(self, proto: Protocol) -> None:
         engine = self.machine.engine
         stats = self.stats
         stalls = stats.stalls
@@ -134,21 +135,12 @@ class FastCPU(CPU):
         hit_lat = max(
             1, round(hier.l1_latency() * (1.0 - proto.machine.core.overlap))
         )
-        ieb = proto.iebs[core_id]
-        use_meb = proto.use_meb
-        meb_record = proto.mebs[core_id].record_write
-        # The model's plain-access hooks (all None for the base protocol).
-        admit, fresh, on_fill, on_write = self._hooks
+        # The protocol's rules for this core (see FusedHooks); the model
+        # callbacks are all None for the base protocol and MESI.
+        admit, fresh, on_fill, on_write, wstate, ieb, meb, fill = self._hooks
+        meb_record = None if meb is None else meb.record_write
         proto_read = proto.read
         proto_write = proto.write
-        ov = proto._overlapped
-        l2_row = hier.l2_banks[hier.block_of_core(core_id)]
-        cpb = hier.machine.cores_per_block
-        l2_lat_row = hier._l2_lat[core_id]
-        count_line = hier.count_line_transfer
-        linefill = TrafficCat.LINEFILL
-        wb_l1 = proto._wb_l1_line
-        l1_insert = l1.insert
         Read, Write, Compute = isa.Read, isa.Write, isa.Compute
         ReadBatch, WriteBatch = isa.ReadBatch, isa.WriteBatch
         CopyBatch, AddBatch = isa.CopyBatch, isa.AddBatch
@@ -166,39 +158,50 @@ class FastCPU(CPU):
         # sync) may advance the counter or rearm the IEB, so the locals are
         # written back before and reloaded after each delegation.
         stamp = l1._stamp
-        armed = ieb.armed
+        armed = ieb is not None and ieb.armed
 
-        def l2_fetch(la):
-            """Inline ``_fetch_into_l1`` for a plain L1 miss that hits the
-            home L2 bank: same touch, same victim handling (delegated), same
-            LINEFILL accounting, same table-driven latency, same ``on_fill``
-            hook.  Returns ``None`` on an L2 miss — the caller then delegates
-            the whole operation to the shared protocol, which re-probes
-            without side effects."""
-            nonlocal stamp, misses
-            if faults is not None:
-                # Chaos runs route every miss through the shared protocol so
-                # injected NoC/memory delays apply; the inline path assumes
-                # the fault-free latency tables.
-                return None
-            bank = l2_row[la % cpb]
-            bslot = bank._index.get(la)
-            if bslot is None:
-                return None
-            bs = bank._stamp + 1
-            bank._stamp = bs
-            bank._stamps[bslot] = bs
-            line = CacheLine(la, list(bank._lines[bslot].data))
-            l1._stamp = stamp
-            victim = l1_insert(line)
-            if victim is not None and victim.dirty:
-                wb_l1(core_id, victim, critical=False)
-            stamp = l1._stamp
-            count_line(linefill)
-            misses += 1
-            if on_fill is not None:
-                on_fill(la)
-            return line
+        if fill:
+            # The incoherent inline fill's locals (see l2_fetch).
+            ov = proto._overlapped
+            l2_row = hier.l2_banks[hier.block_of_core(core_id)]
+            cpb = hier.machine.cores_per_block
+            l2_lat_row = hier._l2_lat[core_id]
+            count_line = hier.count_line_transfer
+            linefill = TrafficCat.LINEFILL
+            wb_l1 = proto._wb_l1_line
+            l1_insert = l1.insert
+
+            def l2_fetch(la):
+                """Inline ``_fetch_into_l1`` for a plain L1 miss that hits
+                the home L2 bank: same touch, same victim handling
+                (delegated), same LINEFILL accounting, same table-driven
+                latency, same ``on_fill`` hook.  Returns ``None`` on an L2
+                miss — the caller then delegates the whole operation to the
+                shared protocol, which re-probes without side effects."""
+                nonlocal stamp, misses
+                if faults is not None:
+                    # Chaos runs route every miss through the shared
+                    # protocol so injected NoC/memory delays apply; the
+                    # inline path assumes the fault-free latency tables.
+                    return None
+                bank = l2_row[la % cpb]
+                bslot = bank._index.get(la)
+                if bslot is None:
+                    return None
+                bs = bank._stamp + 1
+                bank._stamp = bs
+                bank._stamps[bslot] = bs
+                line = CacheLine(la, list(bank._lines[bslot].data))
+                l1._stamp = stamp
+                victim = l1_insert(line)
+                if victim is not None and victim.dirty:
+                    wb_l1(core_id, victim, critical=False)
+                stamp = l1._stamp
+                count_line(linefill)
+                misses += 1
+                if on_fill is not None:
+                    on_fill(la)
+                return line
 
         while True:
             try:
@@ -240,7 +243,7 @@ class FastCPU(CPU):
                         acc += hit_lat
                         send = line.data[word]
                         continue
-                elif not armed or ieb._mask >> la & 1:
+                elif fill and (not armed or ieb._mask >> la & 1):
                     line = l2_fetch(la)
                     if line is not None:
                         loads += 1
@@ -261,8 +264,10 @@ class FastCPU(CPU):
                 slot = index_get(la)
                 if admit is not None and not admit(la):
                     line = None
-                elif slot is not None:
-                    line = lines_arr[slot]
+                elif (
+                    slot is not None
+                    and (line := lines_arr[slot]).state is wstate
+                ):
                     stamp += 1
                     stamps[slot] = stamp
                     word = (addr & off_mask) >> 2
@@ -271,7 +276,7 @@ class FastCPU(CPU):
                     dm = line.dirty_mask
                     if not dm & bit:
                         line.dirty_mask = dm | bit
-                        if use_meb:
+                        if meb_record is not None:
                             meb_record(la)
                     if on_write is not None:
                         on_write(la)
@@ -280,13 +285,15 @@ class FastCPU(CPU):
                     rest_cyc += hit_lat
                     acc += hit_lat
                     continue
-                else:
+                elif slot is None and fill:
                     line = l2_fetch(la)
+                else:
+                    line = None
                 if line is not None:
                     word = (addr & off_mask) >> 2
                     line.data[word] = op.value
                     line.dirty_mask = 1 << word  # fresh copy was clean
-                    if use_meb:
+                    if meb_record is not None:
                         meb_record(la)
                     if on_write is not None:
                         on_write(la)
@@ -325,7 +332,7 @@ class FastCPU(CPU):
                             acc += hit_lat
                             append(line.data[word])
                             continue
-                    elif not armed or ieb._mask >> la & 1:
+                    elif fill and (not armed or ieb._mask >> la & 1):
                         line = l2_fetch(la)
                         if line is not None:
                             lat = l2_lat_row[la % cpb]
@@ -348,8 +355,10 @@ class FastCPU(CPU):
                     slot = index_get(la)
                     if admit is not None and not admit(la):
                         line = None
-                    elif slot is not None:
-                        line = lines_arr[slot]
+                    elif (
+                        slot is not None
+                        and (line := lines_arr[slot]).state is wstate
+                    ):
                         stamp += 1
                         stamps[slot] = stamp
                         word = (addr & off_mask) >> 2
@@ -358,7 +367,7 @@ class FastCPU(CPU):
                         dm = line.dirty_mask
                         if not dm & bit:
                             line.dirty_mask = dm | bit
-                            if use_meb:
+                            if meb_record is not None:
                                 meb_record(la)
                         if on_write is not None:
                             on_write(la)
@@ -366,13 +375,15 @@ class FastCPU(CPU):
                         rest_cyc += hit_lat
                         acc += hit_lat
                         continue
-                    else:
+                    elif slot is None and fill:
                         line = l2_fetch(la)
+                    else:
+                        line = None
                     if line is not None:
                         word = (addr & off_mask) >> 2
                         line.data[word] = value
                         line.dirty_mask = 1 << word
-                        if use_meb:
+                        if meb_record is not None:
                             meb_record(la)
                         if on_write is not None:
                             on_write(la)
@@ -411,7 +422,7 @@ class FastCPU(CPU):
                             value = line.data[word]
                         else:
                             line = None
-                    elif not armed or ieb._mask >> la & 1:
+                    elif fill and (not armed or ieb._mask >> la & 1):
                         line = l2_fetch(la)
                         if line is not None:
                             lat = l2_lat_row[la % cpb]
@@ -435,8 +446,10 @@ class FastCPU(CPU):
                     slot = index_get(la)
                     if admit is not None and not admit(la):
                         wline = None
-                    elif slot is not None:
-                        wline = lines_arr[slot]
+                    elif (
+                        slot is not None
+                        and (wline := lines_arr[slot]).state is wstate
+                    ):
                         stamp += 1
                         stamps[slot] = stamp
                         word = (waddr & off_mask) >> 2
@@ -445,7 +458,7 @@ class FastCPU(CPU):
                         dm = wline.dirty_mask
                         if not dm & bit:
                             wline.dirty_mask = dm | bit
-                            if use_meb:
+                            if meb_record is not None:
                                 meb_record(la)
                         if on_write is not None:
                             on_write(la)
@@ -453,13 +466,15 @@ class FastCPU(CPU):
                         rest_cyc += hit_lat
                         acc += hit_lat
                         continue
-                    else:
+                    elif slot is None and fill:
                         wline = l2_fetch(la)
+                    else:
+                        wline = None
                     if wline is not None:
                         word = (waddr & off_mask) >> 2
                         wline.data[word] = value
                         wline.dirty_mask = 1 << word
-                        if use_meb:
+                        if meb_record is not None:
                             meb_record(la)
                         if on_write is not None:
                             on_write(la)
@@ -483,235 +498,11 @@ class FastCPU(CPU):
                 l1._stamp = stamp
                 lat, cat = self._wbinv(proto, op)
                 stamp = l1._stamp
-                armed = ieb.armed
+                if ieb is not None:
+                    armed = ieb.armed
                 if faults is not None:
                     # WB/INV drain through the write buffer (Section III-C);
                     # an injected drain stall delays their retirement.
-                    lat += faults.wbuf_stall(core_id)
-                stats.add_stall(cat, lat)
-                acc += lat
-
-    # -- MESI fast loop -----------------------------------------------------
-
-    def _step_mesi(self, proto: MESIProtocol) -> None:
-        engine = self.machine.engine
-        stats = self.stats
-        stalls = stats.stalls
-        rest = StallCat.REST
-        advance = self.program.send
-        core_id = self.core_id
-        faults = self.machine.faults
-        hier = proto.hier
-        l1 = hier.l1s[core_id]
-        index_get = l1._index.get
-        lines_arr = l1._lines
-        stamps = l1._stamps
-        line_bytes = hier.line_bytes
-        line_shift = line_bytes.bit_length() - 1
-        off_mask = line_bytes - 1
-        hit_lat = max(
-            1, round(hier.l1_latency() * (1.0 - proto.machine.core.overlap))
-        )
-        block = hier.block_of_core(core_id)
-        dir2 = proto._dir2
-        l3_get = proto._l3_dir.get
-        M, E, I = MESIState.M, MESIState.E, MESIState.I
-        proto_read = proto.read
-        proto_write = proto.write
-        Read, Write, Compute = isa.Read, isa.Write, isa.Compute
-        ReadBatch, WriteBatch = isa.ReadBatch, isa.WriteBatch
-        CopyBatch, AddBatch = isa.CopyBatch, isa.AddBatch
-
-        acc = 0
-        rest_cyc = 0
-        loads = 0
-        stores = 0
-        hits = 0
-        send = self._send_value
-        self._send_value = None
-        # Local LRU stamp counter; synced around every delegated call
-        # (see the incoherent loop above for the discipline).
-        stamp = l1._stamp
-
-        def write_hit(line, la, waddr, value) -> None:
-            """One M/E-state store: E→M directory fix-up plus the word write."""
-            nonlocal hits, rest_cyc, acc
-            if line.state is E:
-                line.state = M
-                dir2(block, la).owner = core_id
-                d3 = l3_get(la)
-                if d3 is not None:
-                    d3.owner_block = block
-            word = (waddr & off_mask) >> 2
-            line.data[word] = value
-            line.dirty_mask |= 1 << word
-            hits += 1
-            rest_cyc += hit_lat
-            acc += hit_lat
-
-        while True:
-            try:
-                op = advance(send)
-            except StopIteration:
-                l1._stamp = stamp
-                stats.loads += loads
-                stats.stores += stores
-                stats.l1_hits += hits
-                stalls[rest] += rest_cyc
-                if acc:
-                    engine.schedule(acc, self._finish)
-                else:
-                    self._finish()
-                return
-            send = None
-
-            kind = type(op)
-            if kind is Read:
-                addr = op.addr
-                slot = index_get(addr >> line_shift)
-                if slot is not None:
-                    line = lines_arr[slot]
-                    if line.state is not I:
-                        stamp += 1
-                        stamps[slot] = stamp
-                        hits += 1
-                        loads += 1
-                        rest_cyc += hit_lat
-                        acc += hit_lat
-                        send = line.data[(addr & off_mask) >> 2]
-                        continue
-                l1._stamp = stamp
-                lat, send = proto_read(core_id, addr)
-                stamp = l1._stamp
-                loads += 1
-                rest_cyc += lat
-                acc += lat
-            elif kind is Write:
-                addr = op.addr
-                la = addr >> line_shift
-                slot = index_get(la)
-                stores += 1
-                if slot is not None:
-                    line = lines_arr[slot]
-                    st = line.state
-                    if st is M or st is E:
-                        stamp += 1
-                        stamps[slot] = stamp
-                        write_hit(line, la, addr, op.value)
-                        continue
-                l1._stamp = stamp
-                lat = proto_write(core_id, addr, op.value)
-                stamp = l1._stamp
-                rest_cyc += lat
-                acc += lat
-            elif kind is Compute:
-                cycles = int(op.cycles)
-                rest_cyc += cycles
-                acc += cycles
-            elif kind is ReadBatch:
-                values = []
-                append = values.append
-                for addr in op.addrs:
-                    slot = index_get(addr >> line_shift)
-                    if slot is not None:
-                        line = lines_arr[slot]
-                        if line.state is not I:
-                            stamp += 1
-                            stamps[slot] = stamp
-                            hits += 1
-                            rest_cyc += hit_lat
-                            acc += hit_lat
-                            append(line.data[(addr & off_mask) >> 2])
-                            continue
-                    l1._stamp = stamp
-                    lat, value = proto_read(core_id, addr)
-                    stamp = l1._stamp
-                    rest_cyc += lat
-                    acc += lat
-                    append(value)
-                loads += len(values)
-                send = values
-            elif kind is WriteBatch:
-                for addr, value in zip(op.addrs, op.values, strict=True):
-                    la = addr >> line_shift
-                    slot = index_get(la)
-                    stores += 1
-                    if slot is not None:
-                        line = lines_arr[slot]
-                        st = line.state
-                        if st is M or st is E:
-                            stamp += 1
-                            stamps[slot] = stamp
-                            write_hit(line, la, addr, value)
-                            continue
-                    l1._stamp = stamp
-                    lat = proto_write(core_id, addr, value)
-                    stamp = l1._stamp
-                    rest_cyc += lat
-                    acc += lat
-            elif kind is CopyBatch or kind is AddBatch:
-                if kind is CopyBatch:
-                    pairs = zip(op.src_addrs, op.dst_addrs, strict=True)
-                else:
-                    pairs = zip(op.addrs, op.deltas, strict=True)
-                for src, second in pairs:
-                    slot = index_get(src >> line_shift)
-                    loads += 1
-                    if slot is not None:
-                        line = lines_arr[slot]
-                        if line.state is not I:
-                            stamp += 1
-                            stamps[slot] = stamp
-                            hits += 1
-                            rest_cyc += hit_lat
-                            acc += hit_lat
-                            value = line.data[(src & off_mask) >> 2]
-                        else:
-                            l1._stamp = stamp
-                            lat, value = proto_read(core_id, src)
-                            stamp = l1._stamp
-                            rest_cyc += lat
-                            acc += lat
-                    else:
-                        l1._stamp = stamp
-                        lat, value = proto_read(core_id, src)
-                        stamp = l1._stamp
-                        rest_cyc += lat
-                        acc += lat
-                    if kind is CopyBatch:
-                        waddr = second
-                    else:
-                        waddr = src
-                        value = value + second
-                    la = waddr >> line_shift
-                    slot = index_get(la)
-                    stores += 1
-                    if slot is not None:
-                        line = lines_arr[slot]
-                        st = line.state
-                        if st is M or st is E:
-                            stamp += 1
-                            stamps[slot] = stamp
-                            write_hit(line, la, waddr, value)
-                            continue
-                    l1._stamp = stamp
-                    lat = proto_write(core_id, waddr, value)
-                    stamp = l1._stamp
-                    rest_cyc += lat
-                    acc += lat
-            elif isinstance(op, isa.SYNC_OPS):
-                l1._stamp = stamp
-                stats.loads += loads
-                stats.stores += stores
-                stats.l1_hits += hits
-                stalls[rest] += rest_cyc
-                self._issue_sync(op, acc)
-                return
-            else:
-                l1._stamp = stamp
-                lat, cat = self._wbinv(proto, op)
-                stamp = l1._stamp
-                if faults is not None:
                     lat += faults.wbuf_stall(core_id)
                 stats.add_stall(cat, lat)
                 acc += lat

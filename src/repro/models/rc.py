@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.coherence.base import FusedHooks
 from repro.coherence.hierarchy import Hierarchy
-from repro.coherence.incoherent import FusedHooks, IncoherentProtocol
+from repro.coherence.incoherent import IncoherentProtocol
 from repro.coherence.threadmap import ThreadMapTable
 from repro.mem.line import CacheLine
 
@@ -88,7 +89,7 @@ class RegionalConsistencyProtocol(IncoherentProtocol):
 
         # The containers above are mutated in place, never reassigned, so
         # the callbacks stay bound to live state.
-        return FusedHooks(
+        return super().fused_hooks(core)._replace(
             fresh=fresh, on_fill=on_fill,
             on_write=self._region_writes[core].add,
         )

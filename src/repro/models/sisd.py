@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.coherence.base import FusedHooks
 from repro.coherence.hierarchy import Hierarchy
-from repro.coherence.incoherent import FusedHooks, IncoherentProtocol
+from repro.coherence.incoherent import IncoherentProtocol
 from repro.coherence.threadmap import ThreadMapTable
 
 
@@ -67,8 +68,9 @@ class SelfInvalidationProtocol(IncoherentProtocol):
         self._shared: set[int] = set()
         #: Per-core classifier fast path, shared by :meth:`_classify` and
         #: the fast engine's fused loop (:meth:`fused_hooks`).
+        base = super().fused_hooks
         self._hooks = [
-            FusedHooks(admit=self._make_admit(core))
+            base(core)._replace(admit=self._make_admit(core))
             for core in range(self.machine.num_cores)
         ]
 

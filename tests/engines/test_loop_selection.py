@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.coherence.incoherent import IncoherentProtocol
-from repro.common.params import intra_block_machine
-from repro.core.config import INTRA_BASE, INTRA_BMI, INTRA_HCC
+from repro.common.params import inter_block_machine, intra_block_machine
+from repro.core.config import INTER_HCC, INTRA_BASE, INTRA_BMI, INTRA_HCC
 from repro.core.machine import Machine
 from repro.isa import ops as isa
 from repro.models import software_models
@@ -20,8 +20,8 @@ from repro.obs.metrics import Metrics
 from repro.obs.trace import Tracer
 
 
-def _run(config, engine, *, model=None, **kwargs):
-    machine = Machine(intra_block_machine(2), config, num_threads=2,
+def _run(config, engine, *, model=None, params=None, **kwargs):
+    machine = Machine(params or intra_block_machine(2), config, num_threads=2,
                       engine=engine, model=model, **kwargs)
     arr = machine.array("a", 32)
 
@@ -46,6 +46,9 @@ def test_every_software_model_takes_the_fused_loop(model, config):
 
 def test_mesi_takes_the_fused_loop():
     assert _run(INTRA_HCC, "fast").cpu_loop == "fused"
+    # Hierarchical MESI: one core per block, so the threads share via L3.
+    inter = inter_block_machine(2, 1)
+    assert _run(INTER_HCC, "fast", params=inter).cpu_loop == "fused"
 
 
 @pytest.mark.parametrize("model", [None, "sisd"])
