@@ -16,10 +16,29 @@ instrumentation is lowered per the Table II inter-block configuration:
 
 Irregular consumers run the inspector once (first dynamic execution) and
 reuse its conflict map in later outer iterations.
+
+A :class:`~repro.compiler.ir.ParallelFor` body is planned once per
+program: every affine or fixed ref becomes an *address plan*, a (base byte
+address, byte stride) pair — stride 0 for ``Fixed`` — that
+:class:`~repro.compiler.ir.IRProgram` range-checked over the whole
+iteration space, so no access is checked again.  Each execution of a
+thread's chunk turns the plans into address ranges, and an iteration issues
+one load op per maximal run of reads whose addresses are already known: a
+plain ``Read`` for a run of one, else a ``ReadBatch``.  An ``Indirect``
+ref splits the runs, because its data address depends on a loaded value:
+the index-array read closes the current run, and the dependent data read
+(checked against its array's size) opens the next.  CG's spmv row thus
+takes 9 load ops instead of 24 scalar reads, and Jacobi's stencil 1
+instead of 4.  Serial-section ranges, a reduction's local input chunk and
+its result/counter update are likewise one ``ReadBatch`` or
+``WriteBatch`` each.  Batch ops are defined as their exact scalar
+sequences (:mod:`repro.isa.ops`), so every access, its order, value and
+cycle are those of one scalar op per word.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any
 
 from repro.compiler import ir
@@ -58,6 +77,11 @@ class ModelTwoRunner:
             for name, size in program.arrays.items()
         }
         self._validate_reductions()
+        self._bodies = {
+            id(stmt): [self._plan_assign(a) for a in stmt.body]
+            for stmt in ir.iter_stmts(program.stmts)
+            if isinstance(stmt, ir.ParallelFor)
+        }
 
         # Conflict arrays for irregular consumers (one per data array read
         # indirectly), plus inspector result caches keyed by (irregular, tid).
@@ -131,23 +155,16 @@ class ModelTwoRunner:
     # -- thread program ------------------------------------------------------------
 
     def _thread(self, ctx: ThreadCtx):
-        yield from self._run_seq(ctx, self.program.stmts)
-
-    def _run_seq(self, ctx: ThreadCtx, stmts):
-        for stmt in stmts:
-            if isinstance(stmt, ir.Loop):
-                for _ in range(stmt.times):
-                    yield from self._run_seq(ctx, stmt.body)
-            elif isinstance(stmt, ir.ParallelFor):
-                yield from self._parallel_for(ctx, stmt)
-            elif isinstance(stmt, ir.SerialStmt):
-                yield from self._serial(ctx, stmt)
-            elif isinstance(stmt, ir.ReduceStmt):
-                yield from self._reduce(ctx, stmt)
-            elif isinstance(stmt, ir.HierReduceStmt):
-                yield from self._hier_reduce(ctx, stmt)
-            else:  # pragma: no cover - IR is exhaustive
-                raise CompilerError(f"unexpected statement {stmt!r}")
+        # One delegation level per statement: the loop nest is walked by a
+        # plain statement iterator, not by nested op generators.
+        execute = {
+            ir.ParallelFor: self._parallel_for,
+            ir.SerialStmt: self._serial,
+            ir.ReduceStmt: self._reduce,
+            ir.HierReduceStmt: self._hier_reduce,
+        }
+        for stmt in ir.execution_order(self.program.stmts):
+            yield from execute[type(stmt)](ctx, stmt)
 
     # -- instrumentation lowering ------------------------------------------------------
 
@@ -224,36 +241,108 @@ class ModelTwoRunner:
 
     # -- statement execution -----------------------------------------------------------------
 
+    def _plan_assign(self, assign: ir.Assign):
+        """Address plans for one body assignment, built once per program.
+
+        Returns ``(fn, write plan, runs)``.  A plan is the (base byte
+        address, byte stride) pair of an affine or fixed ref; the reads
+        split into runs of addresses known before they issue, each run
+        ``(plans, gather, indexed)``: ``gather`` (a data array or None)
+        prepends the dependent read of the indirect ref whose index the
+        previous run loaded, and ``indexed`` says the run ends with an
+        index read.
+        """
+        runs = []
+        plans: list[tuple[int, int]] = []
+        gather = None
+        for ref in assign.rhs:
+            idx = ref.index
+            if isinstance(idx, ir.Indirect):
+                plans.append(self._addr_plan(idx.index_array, idx))
+                runs.append((plans, gather, True))
+                plans = []
+                gather = self.arrays[ref.array]
+            else:
+                plans.append(self._addr_plan(ref.array, idx))
+        if plans or gather is not None:
+            runs.append((plans, gather, False))
+        return assign.fn, self._addr_plan(assign.lhs.array, assign.lhs.index), runs
+
+    def _addr_plan(self, array: str, index: ir.Index) -> tuple[int, int]:
+        """(base, stride) in bytes of the position *index* reads in *array*."""
+        coeff, offset = index.linear()
+        base = self.arrays[array].addr(0)
+        return base + offset * WORD_BYTES, coeff * WORD_BYTES
+
     def _parallel_for(self, ctx: ThreadCtx, stmt: ir.ParallelFor):
         sid = self._sid_of[id(stmt)]
         yield from self._emit_invs(ctx, sid)
         yield from self._irregular_invs(ctx, stmt, sid)
 
         lo, hi = chunk_bounds(stmt.length, self.n, ctx.tid)
-        arrays = self.arrays
+        body = [_lower(plan, lo, hi) for plan in self._bodies[id(stmt)]]
+        compute = stmt.compute_cycles
+        Read, ReadBatch, Write = isa.Read, isa.ReadBatch, isa.Write
         for i in range(lo, hi):
-            for assign in stmt.body:
-                vals = []
-                for ref in assign.rhs:
-                    idx = ref.index
-                    if isinstance(idx, ir.Indirect):
-                        pos = idx.coeff * i + idx.offset
-                        raw = yield isa.Read(
-                            arrays[idx.index_array].addr(pos)
-                        )
-                        vals.append(
-                            (yield isa.Read(arrays[ref.array].addr(int(raw))))
-                        )
-                    else:
-                        vals.append(
-                            (yield isa.Read(arrays[ref.array].addr(idx.at(i))))
-                        )
-                out = assign.fn(i, *vals)
-                yield isa.Write(arrays[assign.lhs.array].addr(assign.lhs.index.at(i)), out)
-            if stmt.compute_cycles:
-                yield isa.Compute(stmt.compute_cycles)
+            for fn, waddrs, loads, many, runs in body:
+                if loads is not None:
+                    got = yield next(loads)
+                    out = fn(i, *got) if many else fn(i, got)
+                else:
+                    vals = []
+                    raw = None
+                    for known, gather, indexed in runs:
+                        addrs = next(known)
+                        if gather is not None:
+                            addrs = (gather.addr(int(raw)), *addrs)
+                        if len(addrs) == 1:
+                            got = [(yield Read(addrs[0]))]
+                        else:
+                            got = yield ReadBatch(addrs)
+                        if indexed:
+                            raw = got.pop()
+                        vals += got
+                    out = fn(i, *vals)
+                yield Write(next(waddrs), out)
+            if compute:
+                yield isa.Compute(compute)
 
         yield from self._epoch_close(ctx, sid)
+
+    def _words(self, array: str, lo: int, hi: int) -> range:
+        """Byte addresses of ``array[lo:hi]`` (``IRProgram`` checked the range)."""
+        base = self.arrays[array].addr(0)
+        return range(base + lo * WORD_BYTES, base + hi * WORD_BYTES, WORD_BYTES)
+
+    def _local_partial(self, ctx: ThreadCtx, stmt):
+        """A reduction's local phase: load this thread's chunk of every
+        input (one op per input), charge the compute, return the partial."""
+        env: dict[str, list[Any]] = {}
+        for r in stmt.inputs:
+            lo, hi = chunk_bounds(r.hi - r.lo, self.n, ctx.tid)
+            env[r.array] = yield from _load(
+                self._words(r.array, r.lo + lo, r.lo + hi)
+            )
+        if stmt.compute_cycles:
+            yield isa.Compute(stmt.compute_cycles)
+        return stmt.partial_fn(ctx.tid, self.n, env)
+
+    def _fold(self, stmt, array: str, slot: int, participants: int, partial):
+        """Critical-section body: fold *partial* into ``array[slot:]``.
+
+        The arrival counter after the ``width`` values restarts the fold
+        from the identity once every *participant* of a round has arrived.
+        """
+        words = self._words(array, slot, slot + stmt.width + 1)
+        counter = yield isa.Read(words[-1])
+        if int(counter) % participants == 0:
+            current = stmt.identity_values()
+        else:
+            current = yield from _load(words[:-1])
+        new = stmt.combine_fn(current, partial)
+        values = [new[k] for k in range(stmt.width)]
+        values.append(int(counter) + 1)
+        yield from _store(words, values)
 
     def _serial(self, ctx: ThreadCtx, stmt: ir.SerialStmt):
         sid = self._sid_of[id(stmt)]
@@ -261,24 +350,18 @@ class ModelTwoRunner:
             yield from self._emit_invs(ctx, sid)
             env: dict[str, list[Any]] = {}
             for r in stmt.reads:
-                arr = self.arrays[r.array]
-                values = []
-                for e in range(r.lo, r.hi):
-                    values.append((yield isa.Read(arr.addr(e))))
-                env[r.array] = values
+                env[r.array] = yield from _load(self._words(r.array, r.lo, r.hi))
             if stmt.compute_cycles:
                 yield isa.Compute(stmt.compute_cycles)
             out = stmt.fn(env)
             for w in stmt.writes:
-                arr = self.arrays[w.array]
                 values = out[w.array]
                 if len(values) != w.hi - w.lo:
                     raise CompilerError(
                         f"serial stmt {stmt.name!r} returned "
                         f"{len(values)} values for {w.array}[{w.lo}:{w.hi}]"
                     )
-                for off, value in enumerate(values):
-                    yield isa.Write(arr.addr(w.lo + off), value)
+                yield from _store(self._words(w.array, w.lo, w.hi), values)
             yield from self._epoch_close(ctx, sid)
         else:
             if self.mode == InterMode.BASE:
@@ -291,18 +374,7 @@ class ModelTwoRunner:
         sid = self._sid_of[id(stmt)]
         yield from self._emit_invs(ctx, sid)
 
-        # Local phase: read my chunk of every input, compute the partial.
-        env: dict[str, list[Any]] = {}
-        for r in stmt.inputs:
-            arr = self.arrays[r.array]
-            lo, hi = chunk_bounds(r.hi - r.lo, self.n, ctx.tid)
-            values = []
-            for e in range(r.lo + lo, r.lo + hi):
-                values.append((yield isa.Read(arr.addr(e))))
-            env[r.array] = values
-        if stmt.compute_cycles:
-            yield isa.Compute(stmt.compute_cycles)
-        partial = stmt.partial_fn(ctx.tid, self.n, env)
+        partial = yield from self._local_partial(ctx, stmt)
         if len(partial) != stmt.width:
             raise CompilerError(
                 f"reduction {stmt.name!r}: partial has {len(partial)} values, "
@@ -310,7 +382,6 @@ class ModelTwoRunner:
             )
 
         # Combine phase: unordered critical-section update of the result.
-        result = self.arrays[stmt.result]
         res_addr, res_len = self._range_args(stmt.result, 0, stmt.width + 1)
         lid = _REDUCE_LOCK_BASE + sid
         yield isa.LockAcquire(lid)
@@ -318,17 +389,7 @@ class ModelTwoRunner:
             yield isa.INVAllL2()
         elif self.mode in (InterMode.ADDR, InterMode.ADDR_LEVEL):
             yield isa.INVL2(res_addr, res_len)
-        counter = yield isa.Read(result.addr(stmt.width))
-        if int(counter) % self.n == 0:
-            current = stmt.identity_values()
-        else:
-            current = []
-            for k in range(stmt.width):
-                current.append((yield isa.Read(result.addr(k))))
-        new = stmt.combine_fn(current, partial)
-        for k in range(stmt.width):
-            yield isa.Write(result.addr(k), new[k])
-        yield isa.Write(result.addr(stmt.width), int(counter) + 1)
+        yield from self._fold(stmt, stmt.result, 0, self.n, partial)
         if self.mode == InterMode.BASE:
             yield isa.WBAllL3()
         elif self.mode in (InterMode.ADDR, InterMode.ADDR_LEVEL):
@@ -357,20 +418,9 @@ class ModelTwoRunner:
         stride = self._block_slot_stride(stmt)
 
         # Local phase: thread partial over its input chunk.
-        env: dict[str, list[Any]] = {}
-        for r in stmt.inputs:
-            arr = self.arrays[r.array]
-            lo, hi = chunk_bounds(r.hi - r.lo, self.n, ctx.tid)
-            values = []
-            for e in range(r.lo + lo, r.lo + hi):
-                values.append((yield isa.Read(arr.addr(e))))
-            env[r.array] = values
-        if stmt.compute_cycles:
-            yield isa.Compute(stmt.compute_cycles)
-        partial = stmt.partial_fn(ctx.tid, self.n, env)
+        partial = yield from self._local_partial(ctx, stmt)
 
         # Level 1: block-local critical section on the block's slot.
-        bp = self.arrays[stmt.blockpart]
         slot = block * stride
         slot_addr, slot_len = self._range_args(
             stmt.blockpart, slot, slot + stmt.width + 1
@@ -387,17 +437,9 @@ class ModelTwoRunner:
             yield isa.INVL2(slot_addr, slot_len)
         elif self.mode == InterMode.ADDR_LEVEL:
             yield isa.INV(slot_addr, slot_len)  # in-block: L1-level only
-        counter = yield isa.Read(bp.addr(slot + stmt.width))
-        if int(counter) % len(block_threads) == 0:
-            current = stmt.identity_values()
-        else:
-            current = []
-            for k in range(stmt.width):
-                current.append((yield isa.Read(bp.addr(slot + k))))
-        new = stmt.combine_fn(current, partial)
-        for k in range(stmt.width):
-            yield isa.Write(bp.addr(slot + k), new[k])
-        yield isa.Write(bp.addr(slot + stmt.width), int(counter) + 1)
+        yield from self._fold(
+            stmt, stmt.blockpart, slot, len(block_threads), partial
+        )
         if self.mode == InterMode.BASE:
             yield isa.WBAllL3()
         elif self.mode == InterMode.ADDR:
@@ -411,7 +453,6 @@ class ModelTwoRunner:
 
         # Level 2: block leaders combine the block slots globally.
         if ctx.tid == min(block_threads):
-            result = self.arrays[stmt.result]
             res_addr, res_len = self._range_args(stmt.result, 0, stmt.width + 1)
             glid = (
                 _REDUCE_LOCK_BASE
@@ -419,25 +460,18 @@ class ModelTwoRunner:
             )
             if self.mode in (InterMode.ADDR, InterMode.ADDR_LEVEL):
                 yield isa.INV(slot_addr, slot_len)  # refresh own block slot
-            block_vals = []
-            for k in range(stmt.width):
-                block_vals.append((yield isa.Read(bp.addr(slot + k))))
+            block_vals = yield from _load(
+                self._words(stmt.blockpart, slot, slot + stmt.width)
+            )
             yield isa.LockAcquire(glid)
             if self.mode == InterMode.BASE:
                 yield isa.INVAllL2()
             elif self.mode in (InterMode.ADDR, InterMode.ADDR_LEVEL):
                 yield isa.INVL2(res_addr, res_len)
-            gcounter = yield isa.Read(result.addr(stmt.width))
-            if int(gcounter) % self.machine.params.num_blocks == 0:
-                current = stmt.identity_values()
-            else:
-                current = []
-                for k in range(stmt.width):
-                    current.append((yield isa.Read(result.addr(k))))
-            new = stmt.combine_fn(current, block_vals)
-            for k in range(stmt.width):
-                yield isa.Write(result.addr(k), new[k])
-            yield isa.Write(result.addr(stmt.width), int(gcounter) + 1)
+            yield from self._fold(
+                stmt, stmt.result, 0, self.machine.params.num_blocks,
+                block_vals,
+            )
             if self.mode == InterMode.BASE:
                 yield isa.WBAllL3()
             elif self.mode in (InterMode.ADDR, InterMode.ADDR_LEVEL):
@@ -446,3 +480,61 @@ class ModelTwoRunner:
         yield isa.Barrier(0, self.n)
         if self.mode == InterMode.BASE:
             yield isa.INVAllL2()
+
+
+def _addrs(plan: tuple[int, int], lo: int, hi: int):
+    """The addresses an address plan reads over iterations [lo, hi).
+
+    ``IRProgram`` range-checked the whole iteration space, so none is
+    checked again.
+    """
+    base, stride = plan
+    if stride:
+        return range(base + stride * lo, base + stride * hi, stride)
+    return repeat(base, hi - lo)
+
+
+def _lower(assign_plan, lo: int, hi: int):
+    """Lower one planned assignment over the chunk [lo, hi).
+
+    Returns ``(fn, write addresses, loads, many, runs)``.  With no
+    indirect ref the reads are one run, and ``loads`` yields its op per
+    iteration: a ``Read`` for one address, else (``many``) a
+    ``ReadBatch``.  Otherwise ``loads`` is None and each run is
+    ``(known, gather, indexed)`` as planned, ``known`` yielding the tuple
+    of addresses known before the run's op issues.
+    """
+    fn, wplan, runs = assign_plan
+    waddrs = iter(_addrs(wplan, lo, hi))
+    if len(runs) == 1 and runs[0][1] is None and not runs[0][2]:
+        # No indirect ref: one run, every address known up front.
+        seqs = [_addrs(p, lo, hi) for p in runs[0][0]]
+        if len(seqs) == 1:
+            return fn, waddrs, map(isa.Read, seqs[0]), False, None
+        return fn, waddrs, map(isa.ReadBatch, zip(*seqs)), True, None
+    return fn, waddrs, None, False, [
+        (zip(*[_addrs(p, lo, hi) for p in plans]) if plans
+         else repeat((), hi - lo), gather, indexed)
+        for plans, gather, indexed in runs
+    ]
+
+
+def _load(addrs):
+    """Read *addrs* in order as one op and return the values as a list.
+
+    One address is a plain ``Read``, several a ``ReadBatch``; an empty
+    run issues nothing.
+    """
+    if len(addrs) == 1:
+        return [(yield isa.Read(addrs[0]))]
+    if not addrs:
+        return []
+    return (yield isa.ReadBatch(addrs))
+
+
+def _store(addrs, values):
+    """Write ``values[k]`` to ``addrs[k]`` in order as one op."""
+    if len(addrs) == 1:
+        yield isa.Write(addrs[0], values[0])
+    elif addrs:
+        yield isa.WriteBatch(addrs, values)

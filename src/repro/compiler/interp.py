@@ -6,6 +6,14 @@ Tests compare simulated runs (any configuration, any placement) against this
 interpreter; agreement demonstrates that the inserted WB/INV instrumentation
 is *sufficient* for correctness on the incoherent hierarchy.
 
+Each parallel loop reads through per-assignment (coeff, offset) plans, the
+same ones the executor's address plans come from (``Index.linear``).  A loop
+that never reads an array it writes, with one written array per assignment,
+runs each assignment as whole columns (slices in, ``map`` over the
+iterations, a slice out), which is exactly its element-by-element result;
+any other loop runs element by element in iteration order.  Indirect index
+values are range-checked at the access, as in the executor.
+
 Reductions fold partials in thread-ID order; floating-point reassociation in
 the simulator (critical-section arrival order) can differ, so comparisons of
 float results should use a tolerance.
@@ -13,11 +21,12 @@ float results should use a tolerance.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any
 
 from repro.compiler import ir
 from repro.compiler.schedule import chunk_bounds
-from repro.common.errors import CompilerError
+from repro.common.errors import AddressError, CompilerError
 
 
 def interpret(
@@ -52,28 +61,51 @@ def interpret(
 
 
 def _run_seq(stmts, mem, nthreads: int, blocks) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, ir.Loop):
-            for _ in range(stmt.times):
-                _run_seq(stmt.body, mem, nthreads, blocks)
-        elif isinstance(stmt, ir.ParallelFor):
+    for stmt in ir.execution_order(stmts):
+        if isinstance(stmt, ir.ParallelFor):
             _parallel_for(stmt, mem)
         elif isinstance(stmt, ir.SerialStmt):
             _serial(stmt, mem)
         elif isinstance(stmt, ir.ReduceStmt):
             _reduce(stmt, mem, nthreads)
-        elif isinstance(stmt, ir.HierReduceStmt):
+        else:
             _hier_reduce(stmt, mem, nthreads, blocks)
-        else:  # pragma: no cover
-            raise CompilerError(f"unexpected statement {stmt!r}")
 
 
-def _read_ref(ref: ir.Ref, i: int, mem) -> Any:
+def _ref_plan(ref: ir.Ref, mem) -> tuple:
+    """``(array, values, coeff, offset, index)`` for one rhs ref.
+
+    The ref reads ``values[coeff*i + offset]``, or, when ``index`` (the
+    index array's contents) is not None, ``values[index[coeff*i +
+    offset]]``.  ``IRProgram`` has already range-checked every position
+    but the indirect data values.
+    """
     idx = ref.index
-    if isinstance(idx, ir.Indirect):
-        pos = idx.coeff * i + idx.offset
-        return mem[ref.array][int(mem[idx.index_array][pos])]
-    return mem[ref.array][idx.at(i)]
+    coeff, offset = idx.linear()
+    index = mem[idx.index_array] if isinstance(idx, ir.Indirect) else None
+    return ref.array, mem[ref.array], coeff, offset, index
+
+
+def _gather(name: str, values: list, raw: Any) -> Any:
+    """``values[raw]`` for an index value read at run time, checked as the
+    executor's address lookup checks it."""
+    pos = int(raw)
+    if 0 <= pos < len(values):
+        return values[pos]
+    raise AddressError(f"{name}[{pos}] out of range ({len(values)},)")
+
+
+def _span(coeff: int, offset: int, n: int) -> slice:
+    """The positions ``coeff*i + offset`` for ``i in range(n)``, ``coeff != 0``."""
+    stop = offset + coeff * n
+    return slice(offset, stop if stop >= 0 else None, coeff)
+
+
+def _column(values: list, coeff: int, offset: int, n: int):
+    """``values[coeff*i + offset]`` for ``i in range(n)``."""
+    if coeff:
+        return values[_span(coeff, offset, n)]
+    return repeat(values[offset], n)
 
 
 def _parallel_for(stmt: ir.ParallelFor, mem) -> None:
@@ -81,10 +113,44 @@ def _parallel_for(stmt: ir.ParallelFor, mem) -> None:
     # body assignments run in order; iterations are independent across
     # threads (the analyzable subset has no cross-iteration dependences
     # within one epoch), so plain sequential order is faithful.
-    for i in range(stmt.length):
-        for assign in stmt.body:
-            vals = [_read_ref(r, i, mem) for r in assign.rhs]
-            mem[assign.lhs.array][assign.lhs.index.at(i)] = assign.fn(i, *vals)
+    n = stmt.length
+    plans = [
+        (
+            assign.fn,
+            mem[assign.lhs.array],
+            *assign.lhs.index.linear(),
+            [_ref_plan(r, mem) for r in assign.rhs],
+        )
+        for assign in stmt.body
+    ]
+    written = stmt.written_arrays()
+    read = stmt.read_arrays() | {
+        r.index.index_array for a in stmt.body for r in a.rhs if r.is_indirect
+    }
+    if len(written) == len(plans) and written.isdisjoint(read):
+        # No array is both read and written, and each assignment writes its
+        # own array: every read sees the loop's input, so each assignment
+        # runs as whole columns, in iteration order.
+        for fn, out, oc, oo, refs in plans:
+            cols = [
+                _column(values, c, o, n) if index is None
+                else [_gather(name, values, raw)
+                      for raw in _column(index, c, o, n)]
+                for name, values, c, o, index in refs
+            ]
+            results = list(map(fn, range(n), *cols))
+            if oc:
+                out[_span(oc, oo, n)] = results
+            else:
+                out[oo] = results[-1]
+        return
+    for i in range(n):
+        for fn, out, oc, oo, refs in plans:
+            out[oc * i + oo] = fn(i, *[
+                values[c * i + o] if index is None
+                else _gather(name, values, index[c * i + o])
+                for name, values, c, o, index in refs
+            ])
 
 
 def _serial(stmt: ir.SerialStmt, mem) -> None:

@@ -39,8 +39,9 @@ class Affine:
     coeff: int = 1
     offset: int = 0
 
-    def at(self, i: int) -> int:
-        return self.coeff * i + self.offset
+    def linear(self) -> tuple[int, int]:
+        """``(coeff, offset)`` of the element read at iteration *i*."""
+        return self.coeff, self.offset
 
     def image(self, lo: int, hi: int) -> tuple[int, int]:
         """Element interval [lo', hi') covering iterations [lo, hi).
@@ -67,6 +68,10 @@ class Indirect:
     offset: int = 0
     coeff: int = 1
 
+    def linear(self) -> tuple[int, int]:
+        """``(coeff, offset)`` of the *index_array* slot read at iteration *i*."""
+        return self.coeff, self.offset
+
 
 @dataclass(frozen=True)
 class Fixed:
@@ -74,8 +79,9 @@ class Fixed:
 
     index: int
 
-    def at(self, _i: int) -> int:
-        return self.index
+    def linear(self) -> tuple[int, int]:
+        """``(0, index)``: the same element at every iteration."""
+        return 0, self.index
 
 
 Index = Affine | Indirect | Fixed
@@ -277,6 +283,13 @@ class IRProgram:
                     raise CompilerError(
                         f"statement references undeclared array {arr!r}"
                     )
+            for array, lo, hi in _stmt_extents(stmt):
+                size = self.arrays[array]
+                if lo < 0 or hi > size:
+                    raise CompilerError(
+                        f"statement {stmt.name!r} accesses {array}[{lo}:{hi}] "
+                        f"outside its {size} elements"
+                    )
 
 
 def iter_stmts(stmts: Sequence[Stmt]):
@@ -284,6 +297,16 @@ def iter_stmts(stmts: Sequence[Stmt]):
     for stmt in stmts:
         if isinstance(stmt, Loop):
             yield from iter_stmts(stmt.body)
+        else:
+            yield stmt
+
+
+def execution_order(stmts: Sequence[Stmt]):
+    """Yield every non-Loop statement as it executes: Loop bodies repeat."""
+    for stmt in stmts:
+        if isinstance(stmt, Loop):
+            for _ in range(stmt.times):
+                yield from execution_order(stmt.body)
         else:
             yield stmt
 
@@ -303,3 +326,30 @@ def _stmt_arrays(stmt: Stmt) -> set[str]:
     if isinstance(stmt, HierReduceStmt):
         return {r.array for r in stmt.inputs} | {stmt.blockpart, stmt.result}
     raise CompilerError(f"unexpected statement {stmt!r}")
+
+
+def _stmt_extents(stmt: Stmt):
+    """``(array, lo, hi)`` for every element interval *stmt*'s refs and
+    ranges name.
+
+    Affine and fixed refs contribute their image over the whole iteration
+    space (any stride sign), indirect refs the slots of their index array
+    (the data positions are run-time values, checked at the access).  A
+    reduction's result and block slots are sized against the machine by
+    the executor.
+    """
+    if isinstance(stmt, ParallelFor):
+        last = stmt.length - 1
+        for assign in stmt.body:
+            for ref in (assign.lhs, *assign.rhs):
+                idx = ref.index
+                array = idx.index_array if isinstance(idx, Indirect) else ref.array
+                coeff, offset = idx.linear()
+                ends = (offset, coeff * last + offset)
+                yield array, min(ends), max(ends) + 1
+    elif isinstance(stmt, SerialStmt):
+        for r in (*stmt.reads, *stmt.writes):
+            yield r.array, r.lo, r.hi
+    else:
+        for r in stmt.inputs:
+            yield r.array, r.lo, r.hi

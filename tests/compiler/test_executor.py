@@ -1,14 +1,19 @@
 """Tests for the Model-2 executor, interpreter agreement, and the inspector."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro import Machine, inter_block_machine
-from repro.common.errors import CompilerError
+from repro.common.errors import AddressError, CompilerError
 from repro.compiler import ir
 from repro.compiler.executor import ModelTwoRunner
 from repro.compiler.interp import interpret
 from repro.core.config import INTER_CONFIGS, INTER_ADDR_L, INTER_HCC
+from repro.eval.parallel import SweepCell
 from repro.noc.placement import Placement
+from repro.obs.replay import run_traced
 
 
 def neighbor_exchange_program(n=16, iters=2):
@@ -184,6 +189,24 @@ class TestRunnerValidation:
         with pytest.raises(CompilerError):
             ModelTwoRunner(machine, program)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_indirect_value_out_of_range_raises(self, bad):
+        """The executor rejects a bad index value as the interpreter does."""
+        gather = ir.ParallelFor(
+            "g",
+            4,
+            (
+                ir.Assign(
+                    ir.Ref("out", ir.Affine()),
+                    (ir.Ref("data", ir.Indirect("idx")),),
+                    lambda i, v: v,
+                ),
+            ),
+        )
+        program = ir.IRProgram("p", {"out": 4, "data": 4, "idx": 4}, (gather,))
+        with pytest.raises(AddressError, match=rf"data\[{bad}\] out of range"):
+            run_program(program, INTER_HCC, {"idx": [0, 1, bad, 2]})
+
     def test_preload_length_checked(self):
         program = neighbor_exchange_program()
         machine = Machine(inter_block_machine(2, 2), INTER_HCC, num_threads=4)
@@ -210,3 +233,58 @@ class TestPlacementIndependence:
             runner.spawn_all()
             machine.run()
             assert runner.result("a") == want["a"], cores
+
+
+#: sha256 of each NAS cell's trace events (json, sorted keys, see
+#: ``_canonical``) on a 4x2 machine at scale 0.25, base model, reference
+#: engine.  The digests were recorded while the executor still issued one
+#: scalar ``Read``/``Write`` per access; they pin that batching the reads
+#: and writes changed no access, its order, its value or its cycle.
+ACCESS_STREAM_DIGESTS = {
+    ("cg", "HCC"): "3a9958f4b919aeb1b97b7b149997995b585cd24e25ab1a74f035327edf42eb0e",
+    ("cg", "Base"): "9b95c03bda601c809c7a5c207e93be1c95bd183efed63e0b0f785d4d43abb813",
+    ("cg", "Addr"): "6d7bc1ffe6fa502fb674c25fd8379a76f6806a5e75c96cf6d98ef7d44ddf336c",
+    ("cg", "Addr+L"): "75f47b9d35b8dfda5028fb77e374487ae6416a6e76b96fad5875f53a40ee2497",
+    ("ep", "HCC"): "b57ae193413c5da0bb1fff41cf96b3976b854b66d0d56ec5a144a80fb34f71f4",
+    ("ep", "Base"): "273e38c03f9049805406398e93eefc8d92faefbeb7f658ff1719d2986f898d15",
+    ("ep", "Addr"): "fbb332ab61b00baefc7a69c1a5a8cdfd1b5965f90cfb9c52e8e179112e938948",
+    ("ep", "Addr+L"): "fbb332ab61b00baefc7a69c1a5a8cdfd1b5965f90cfb9c52e8e179112e938948",
+    ("ep_hier", "HCC"): "29bcb0132601a313d854a1d25729ee8bb1d147c0f63ea1b773344b709fb87f5a",
+    ("ep_hier", "Base"): "4314c78ca28ef9a0b75954bba6921e121fe7db2bc3998a7bd145abd27cead428",
+    ("ep_hier", "Addr"): "6c9a79b5ddea680bfff8c164646976999d8391f00e0a0926081b916c6d52aa79",
+    ("ep_hier", "Addr+L"): "33e565eaab8c6834b8cfdcb57f99eaefb9c1945b6ba3995ff41fc0891909d90c",
+    ("is", "HCC"): "a0d83ad8513b67780e2f9864cb4841948b111cc43725149b86700063016c5a85",
+    ("is", "Base"): "0fef8a7e0512734bcb1059354d23294f5561a3ef39fd9d2d43d62edbd3d8d9a9",
+    ("is", "Addr"): "bd593173e104c05f7fcc81d084ba683353deb1e742552da1a9ea8772c573d3a4",
+    ("is", "Addr+L"): "3af6378b02d578398c7cabf68e0de93e24379d39c5d014f68d7bccfd8b8732d9",
+    ("jacobi", "HCC"): "2c0e185f0cd38c8c2389f14d689b597cfa84887448e89a10ae8e83fbb9ecf341",
+    ("jacobi", "Base"): "fbbb33d5a0c9c6453621fecb54e8249fef36af070d03166261e8906c5bcbbbcd",
+    ("jacobi", "Addr"): "4eb1e3bbf75d773b39fcb20183f69dc52ec9061c35076676ded87efb402197da",
+    ("jacobi", "Addr+L"): "6e0808dea31ba1757c75211e010e3f886eebb7662a133c0254cf5742539797b0",
+}
+
+
+def _canonical(event: dict) -> dict:
+    """A float store value rounded to 6 significant digits.
+
+    Its last bits depend on the host's float sums (``sum`` is compensated
+    from Python 3.12 on), not on the access stream.
+    """
+    if type(event.get("val")) is float:
+        return {**event, "val": f"{event['val']:.6g}"}
+    return event
+
+
+@pytest.mark.parametrize("config", INTER_CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize("app", ["cg", "ep", "ep_hier", "is", "jacobi"])
+def test_access_stream_is_pinned(app, config):
+    """Every traced access (address, order, value, cycle) is unchanged."""
+    _, tracer, _ = run_traced(SweepCell.make(
+        "inter", app, config, num_blocks=4, cores_per_block=2, scale=0.25,
+        engine="ref", model="base",
+    ))
+    events = json.dumps(
+        [_canonical(ev) for ev in tracer.events], sort_keys=True
+    ).encode()
+    digest = hashlib.sha256(events).hexdigest()
+    assert digest == ACCESS_STREAM_DIGESTS[(app, config.name)]

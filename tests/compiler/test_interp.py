@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import CompilerError
+from repro.common.errors import AddressError, CompilerError
 from repro.compiler import ir
 from repro.compiler.interp import interpret
 
@@ -112,3 +112,65 @@ def test_indirect_read_resolution():
     prog = ir.IRProgram("p", {"out": 4, "data": 4, "idx": 4}, (gather,))
     out = interpret(prog, 2, {"data": [10, 20, 30, 40], "idx": [3, 2, 1, 0]})
     assert out["out"] == [40, 30, 20, 10]
+
+
+def test_shifted_read_past_the_start_is_rejected_not_wrapped():
+    """``b[i] = a[i-1]`` over range(4) reads a[-1]: an error, never a[3]."""
+    with pytest.raises(CompilerError, match=r"'s'.*a\[-1:3\]"):
+        ir.IRProgram("p", {"a": 4, "b": 4}, (pf("s", "b", "a", 4, off=-1),))
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_indirect_value_out_of_range_rejected(bad):
+    gather = ir.ParallelFor(
+        "g",
+        4,
+        (
+            ir.Assign(
+                ir.Ref("out", ir.Affine()),
+                (ir.Ref("data", ir.Indirect("idx")),),
+                lambda i, v: v,
+            ),
+        ),
+    )
+    prog = ir.IRProgram("p", {"out": 4, "data": 4, "idx": 4}, (gather,))
+    with pytest.raises(AddressError, match=rf"data\[{bad}\] out of range \(4,\)"):
+        interpret(prog, 2, {"data": [10, 20, 30, 40], "idx": [0, 1, bad, 2]})
+
+
+def test_reads_see_earlier_writes_of_the_same_loop():
+    """A loop that reads what it writes runs element by element, in order."""
+    carry = ir.ParallelFor(
+        "carry",
+        3,
+        (
+            ir.Assign(ir.Ref("a", ir.Affine(1, 1)), (ir.Ref("a", ir.Affine()),),
+                      lambda i, v: v + 1),
+            ir.Assign(ir.Ref("b", ir.Affine()), (ir.Ref("a", ir.Affine(1, 1)),),
+                      lambda i, v: 10 * v),
+        ),
+    )
+    prog = ir.IRProgram("p", {"a": 4, "b": 3}, (carry,))
+    out = interpret(prog, 1, {"a": [5, 0, 0, 0]})
+    assert out["a"] == [5, 6, 7, 8]
+    assert out["b"] == [60, 70, 80]
+
+
+def test_independent_columns_match_element_order():
+    """Loops that never read what they write: strided, reversed, fixed and
+    indirect refs land where the element-by-element order puts them."""
+    body = (
+        ir.Assign(ir.Ref("rev", ir.Affine(-1, 3)),
+                  (ir.Ref("a", ir.Affine(2, 1)), ir.Ref("a", ir.Fixed(0))),
+                  lambda i, x, y: x + y + i),
+        ir.Assign(ir.Ref("last", ir.Fixed(0)),
+                  (ir.Ref("a", ir.Indirect("idx", offset=0)),),
+                  lambda i, v: v * 100 + i),
+    )
+    prog = ir.IRProgram(
+        "p", {"a": 8, "idx": 4, "rev": 4, "last": 1},
+        (ir.ParallelFor("cols", 4, body),),
+    )
+    out = interpret(prog, 2, {"a": list(range(10, 18)), "idx": [7, 6, 5, 4]})
+    assert out["rev"] == [30, 27, 24, 21]  # rev[3-i] = a[2i+1] + a[0] + i
+    assert out["last"] == [1403]  # the last iteration's write wins
