@@ -5,7 +5,7 @@ Two workload families mirror the paper's two programming models:
 * :class:`ModelOneWorkload` — SPLASH-2-style pointer/irregular codes written
   directly against the :class:`~repro.core.context.ThreadCtx` API with
   Model-1 annotations.  Each declares its Table I communication patterns and
-  provides a functional verifier.
+  provides a functional verifier against a per-process memoized reference.
 * :class:`ModelTwoWorkload` — NAS-style loop-nest codes expressed in the
   Model-2 IR, lowered by the mini-ROSE pipeline.  Verification compares the
   simulated final memory against the reference interpreter.
@@ -15,8 +15,11 @@ Registries map workload names to classes for the evaluation harness.
 
 from __future__ import annotations
 
+import inspect
 from abc import ABC, abstractmethod
 from typing import Any
+
+import numpy as np
 
 from repro.compiler.executor import ModelTwoRunner
 from repro.compiler.interp import interpret
@@ -35,8 +38,43 @@ class Pattern:
     DATA_RACE = "data race"
 
 
+#: Per-process memo of Model-1 reference outputs, keyed by
+#: :attr:`ModelOneWorkload.memo_key`.  Filled lazily by ``expected()``.
+_REFERENCES: dict[tuple, Any] = {}
+
+
+def _freeze(value: Any) -> Any:
+    """*value* made read-only: arrays lose ``writeable``, sequences become tuples."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+        return value
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(v) for v in value)
+    return value
+
+
 class ModelOneWorkload(ABC):
-    """A SPLASH-2-style intra-block workload."""
+    """A SPLASH-2-style intra-block workload.
+
+    Verification is split in two.  :meth:`reference` computes the expected
+    final values sequentially; it must be a pure function of the
+    constructor arguments (no :class:`Machine`, no state set after
+    ``__init__``).  :meth:`verify` compares one cell's simulated memory
+    against :meth:`expected`, element by element.
+
+    ``expected()`` memoizes ``reference()`` once per process:
+
+    * the key is the concrete class plus its constructor arguments bound
+      with defaults applied (:attr:`memo_key`), so ``FFT(0.5)`` and
+      ``FFT(scale=0.5, n=None)`` share an entry and any differing argument
+      gets its own;
+    * it is filled lazily, on the first ``expected()`` call for a key;
+      construction and ``prepare`` compute nothing;
+    * stored values are read-only (numpy arrays have ``writeable=False``,
+      containers are tuples), so no cell can alter a later cell's
+      expectation;
+    * it is per process: under ``--jobs N`` each worker keeps its own.
+    """
 
     #: Registry name, e.g. "fft".
     name: str = ""
@@ -44,6 +82,14 @@ class ModelOneWorkload(ABC):
     main_patterns: tuple[str, ...] = ()
     #: Secondary patterns, Table I "Other" column.
     other_patterns: tuple[str, ...] = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> ModelOneWorkload:
+        self = super().__new__(cls)
+        bound = inspect.signature(cls.__init__).bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        #: The reference memo key: (class, bound constructor arguments).
+        self.memo_key = (cls, tuple(bound.arguments.items())[1:])
+        return self
 
     def __init__(self, scale: float = 1.0) -> None:
         if scale <= 0:
@@ -55,8 +101,19 @@ class ModelOneWorkload(ABC):
         """Allocate arrays, preload inputs, and spawn all threads."""
 
     @abstractmethod
+    def reference(self) -> Any:
+        """The expected final values, computed sequentially from the inputs."""
+
+    def expected(self) -> Any:
+        """:meth:`reference`, memoized per process and read-only."""
+        key = self.memo_key
+        if key not in _REFERENCES:
+            _REFERENCES[key] = _freeze(self.reference())
+        return _REFERENCES[key]
+
+    @abstractmethod
     def verify(self, machine: Machine) -> None:
-        """Assert final memory holds the correct result (post ``run()``)."""
+        """Assert final memory holds :meth:`expected` (post ``run()``)."""
 
     def run_on(self, machine: Machine):
         """Convenience: prepare, run, verify; returns the statistics."""

@@ -144,7 +144,7 @@ class Barnes(ModelOneWorkload):
                 )
             yield from ctx.barrier()
 
-    def verify(self, machine: Machine) -> None:
+    def reference(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_bodies
         x = self.x0.astype(float).copy()
         v = self.v0.astype(float).copy()
@@ -161,6 +161,11 @@ class Barnes(ModelOneWorkload):
                             f[i] += self._force(x[i], x[j], self.box)
             v = v + f * self.dt
             x = x + v * self.dt
+        return x, v
+
+    def verify(self, machine: Machine) -> None:
+        n = self.n_bodies
+        x, v = self.expected()
         got_x = np.array([machine.read_word(self.pos.addr(i)) for i in range(n)])
         got_v = np.array([machine.read_word(self.vel.addr(i)) for i in range(n)])
         assert np.allclose(got_x, x, rtol=1e-6, atol=1e-8), "Barnes pos mismatch"

@@ -14,6 +14,7 @@ Verification compares against ``numpy.fft.fft``.
 from __future__ import annotations
 
 import cmath
+import functools
 
 import numpy as np
 
@@ -30,6 +31,24 @@ def bit_reverse(i: int, bits: int) -> int:
         out = (out << 1) | (i & 1)
         i >>= 1
     return out
+
+
+@functools.cache
+def _tables(bits: int) -> tuple[tuple[int, ...], tuple[tuple[complex, ...], ...]]:
+    """The bit-reversal permutation and per-stage twiddles for ``2**bits`` points.
+
+    Both depend only on the size, so they are built once per size and
+    shared by every instance and thread.  The twiddles are the exact
+    ``cmath.exp`` values a per-butterfly computation would produce, so
+    written values are bitwise unchanged.
+    """
+    n = 1 << bits
+    rev = tuple(bit_reverse(i, bits) for i in range(n))
+    twiddle = tuple(
+        tuple(cmath.exp(-2j * cmath.pi * j / (2 << s)) for j in range(1 << s))
+        for s in range(bits)
+    )
+    return rev, twiddle
 
 
 @register_model_one
@@ -51,16 +70,7 @@ class FFT(ModelOneWorkload):
         self.bits = self.n.bit_length() - 1
         rng = make_rng("fft")
         self.input = (rng.random(self.n) + 1j * rng.random(self.n)).tolist()
-        # Hoisted per-element tables: the bit-reversal permutation and the
-        # per-stage twiddle factors depend only on ``n``, so computing them
-        # once here (instead of per butterfly) keeps the generators lean.
-        # The twiddle values are the exact ``cmath.exp`` results the inner
-        # loop used to compute, so written values are bitwise unchanged.
-        self.rev = [bit_reverse(i, self.bits) for i in range(self.n)]
-        self.twiddle = [
-            [cmath.exp(-2j * cmath.pi * j / (2 << s)) for j in range(1 << s)]
-            for s in range(self.bits)
-        ]
+        self.rev, self.twiddle = _tables(self.bits)
 
     def prepare(self, machine: Machine) -> None:
         if self.n % (2 * machine.num_threads):
@@ -73,6 +83,8 @@ class FFT(ModelOneWorkload):
         mem = machine.hier.memory
         for i, v in enumerate(self.input):
             mem.write_word(self.src.addr(i) // 4, v)
+        #: Work-array element addresses, shared by every thread.
+        self._waddrs = tuple(self.work.addr(i) for i in range(self.n))
         machine.spawn_all(self._program)
 
     def _program(self, ctx):
@@ -80,8 +92,7 @@ class FFT(ModelOneWorkload):
         t, nt = ctx.tid, ctx.nthreads
         chunk = n // nt
         lo, hi = t * chunk, (t + 1) * chunk
-        src_addr, work_addr = self.src.addr, self.work.addr
-        waddrs = [work_addr(i) for i in range(n)]
+        src_addr, waddrs = self.src.addr, self._waddrs
 
         # Epoch 0: bit-reversal permutation into the work array.  Each
         # thread writes its chunk of the destination, reading scattered
@@ -115,9 +126,12 @@ class FFT(ModelOneWorkload):
                 yield isa.Compute(8)  # twiddle multiply FLOPs
             yield from ctx.barrier()
 
+    def reference(self) -> np.ndarray:
+        return np.fft.fft(np.array(self.input, dtype=complex))
+
     def verify(self, machine: Machine) -> None:
         got = np.array(machine.read_array(self.work), dtype=complex)
-        want = np.fft.fft(np.array(self.input, dtype=complex))
+        want = self.expected()
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9), (
             f"FFT mismatch: max err {np.max(np.abs(got - want))}"
         )

@@ -141,12 +141,16 @@ class Raytrace(ModelOneWorkload):
                 _ = yield from ctx.racy_load(self.progress.addr(peer))
         yield from ctx.barrier()
 
-    def verify(self, machine: Machine) -> None:
+    def reference(self) -> np.ndarray:
         want = np.empty(self.n_pixels)
         for p in range(self.n_pixels):
             px = float(p % self.width) + 0.5
             py = float(p // self.width) + 0.5
             want[p] = _trace_pixel(px, py, self.spheres)
+        return want
+
+    def verify(self, machine: Machine) -> None:
+        want = self.expected()
         got = np.array(
             [machine.read_word(self.image.addr(p)) for p in range(self.n_pixels)]
         )

@@ -115,11 +115,12 @@ class Volrend(ModelOneWorkload):
             )
         yield from ctx.barrier()
 
-    def verify(self, machine: Machine) -> None:
+    def reference(self) -> np.ndarray:
         opac = [self._slab_opacity(list(self.volume[s])) for s in range(self.n_slabs)]
-        want = np.array(
-            [self._column_value(c, opac) for c in range(self.n_columns)]
-        )
+        return np.array([self._column_value(c, opac) for c in range(self.n_columns)])
+
+    def verify(self, machine: Machine) -> None:
+        want = self.expected()
         got = np.array(
             [machine.read_word(self.image.addr(c)) for c in range(self.n_columns)]
         )

@@ -161,7 +161,7 @@ class _WaterBase(ModelOneWorkload):
 
     # -- verification ---------------------------------------------------------------
 
-    def verify(self, machine: Machine) -> None:
+    def reference(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_mol
         x = self.x0.astype(float).copy()
         v = self.v0.astype(float).copy()
@@ -174,6 +174,11 @@ class _WaterBase(ModelOneWorkload):
                     f[j] -= pf
             v += f * self.dt
             x += v * self.dt
+        return x, v
+
+    def verify(self, machine: Machine) -> None:
+        n = self.n_mol
+        x, v = self.expected()
         got_x = np.array([machine.read_word(self.pos.addr(i)) for i in range(n)])
         got_v = np.array([machine.read_word(self.vel.addr(i)) for i in range(n)])
         assert np.allclose(got_x, x, rtol=1e-7, atol=1e-9), "Water pos mismatch"
