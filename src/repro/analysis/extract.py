@@ -482,7 +482,14 @@ def extract(
     machine.
     """
     ex = _Extractor(machine, quantum, max_ops)
-    ex.run()
+    try:
+        ex.run()
+    finally:
+        # Extraction consumes the programs.  Closing any it left suspended
+        # (deadlock, ``max_ops``) drops their frames and the ThreadCtx
+        # that points back at the machine.
+        for thread in ex.threads:
+            thread.gen.close()
     events = sorted(
         (ev for t in ex.threads for ev in t.events), key=lambda e: e.seq
     )

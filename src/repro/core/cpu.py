@@ -38,7 +38,10 @@ class CPU:
     )
 
     def __init__(self, machine: "Machine", core_id: int, tid: int, program) -> None:
-        self.machine = machine
+        #: The owning machine, reachable only while ``Machine.run`` executes
+        #: (set by :meth:`start`, dropped by :meth:`release`), so a finished
+        #: machine holds no cycle through its cores.
+        self.machine: "Machine | None" = None
         self.core_id = core_id
         self.tid = tid
         self.program = program
@@ -53,10 +56,21 @@ class CPU:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def start(self) -> None:
-        self.machine.cpu_loop = self._select_loop()
-        self.machine.engine.register_entity()
-        self.machine.engine.schedule(0, self._step)
+    def start(self, machine: "Machine") -> None:
+        self.machine = machine
+        machine.cpu_loop = self._select_loop()
+        machine.engine.register_entity()
+        machine.engine.schedule(0, self._step)
+
+    def release(self) -> None:
+        """End of run: drop the machine link and close the program.
+
+        Closing is a no-op for a program that ran to completion; an
+        unfinished one (deadlock, ``max_cycles``) drops its frame, and
+        with it the ``ThreadCtx`` that points back at the machine.
+        """
+        self.machine = None
+        self.program.close()
 
     def _select_loop(self) -> str:
         """Prepare the execution loop; return its name for ``cpu_loop``."""

@@ -152,15 +152,28 @@ class Machine:
     # -- execution ---------------------------------------------------------------------
 
     def run(self, max_cycles: int | None = None) -> MachineStats:
-        """Execute to completion; flush caches; return statistics."""
+        """Execute to completion; flush caches; return statistics.
+
+        However the run ends, the cores let go of the machine when it does
+        (see docs/ARCHITECTURE.md, "Machine lifetime").
+        """
         if self._ran:
             raise ConfigError("a Machine instance runs exactly once")
         if not self._cpus:
             raise ConfigError("no threads spawned")
         self._ran = True
-        for cpu in self._cpus:
-            cpu.start()
-        self.stats.exec_time = self.engine.run(max_cycles=max_cycles)
+        try:
+            for cpu in self._cpus:
+                cpu.start(self)
+            self.stats.exec_time = self.engine.run(max_cycles=max_cycles)
+        finally:
+            # A core reaches its machine only during the run.  With the
+            # links, pending events and unfinished programs gone, nothing
+            # the machine owns points back at it, so reference counting
+            # frees it (and everything it built) once the caller lets go.
+            self.engine.clear()
+            for cpu in self._cpus:
+                cpu.release()
         self.stats.frozen = True  # verification flush must not count traffic
         if self.faults is not None:
             # The timed run is over: verification-time flushes must neither

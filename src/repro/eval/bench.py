@@ -50,6 +50,14 @@ def percentile(samples: list[float], q: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
+def peak_rss_mb() -> float:
+    """This process's resident-set high-water mark so far, in MiB."""
+    import resource
+
+    # ru_maxrss is in KiB on Linux.
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def measure(
     fn: Callable[[], Any], *, warmup: int = 0, repeat: int = 1
 ) -> tuple[Any, list[float]]:
@@ -82,7 +90,9 @@ def record(
 
     ``engine`` is resolved the way every Machine resolves it (``None``
     means ``$REPRO_ENGINE``, else ``ref``), so records always name the
-    core that actually produced the numbers.
+    core that actually produced the numbers.  Called after the timed runs,
+    it also archives ``peak_rss_mb``, the process's memory high-water mark
+    so far, so a memory claim is recorded the way a speed claim is.
     """
     from repro.engines import resolve_engine
 
@@ -96,6 +106,7 @@ def record(
         "runs_s": [round(s, 6) for s in seconds],
         "median_s": round(statistics.median(seconds), 6),
         "p95_s": round(percentile(seconds, 95), 6),
+        "peak_rss_mb": round(peak_rss_mb(), 1),
     }
     if extra:
         payload.update(extra)

@@ -90,6 +90,11 @@ class Engine:
         else:
             bucket.append(callback)
 
+    def clear(self) -> None:
+        """Drop every pending event (a run that stopped early leaves some)."""
+        self._times.clear()
+        self._buckets.clear()
+
     def run(self, max_cycles: int | None = None) -> int:
         """Drain the event queue; return the finishing time in cycles.
 

@@ -50,6 +50,16 @@ class TestRecord:
         assert payload["scale"] == 0.5
         assert payload["git_rev"]  # non-empty ("unknown" outside a checkout)
         assert payload["timestamp"]
+        assert payload["peak_rss_mb"] > 0
+
+    def test_peak_rss_is_the_high_water_mark(self):
+        block = bytearray(48 << 20)
+        block[::4096] = b"\x01" * len(range(0, len(block), 4096))
+        held = bench.peak_rss_mb()
+        del block  # freed, but the high-water mark stays
+        payload = bench.record("probe", [1.0])
+        assert held >= 48
+        assert payload["peak_rss_mb"] >= round(held, 1)
 
     def test_engine_defaults_to_ref(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
@@ -75,6 +85,7 @@ class TestRecord:
         payload = json.loads(out.read_text())
         assert (payload["engine"], payload["model"]) == ("ref", "base")
         assert payload["cpu_loops"] == {"reference": 16}  # 4 apps x 4 configs
+        assert payload["peak_rss_mb"] > 0
 
     def test_cli_records_the_fused_loop(self, tmp_path, capsys):
         from repro.cli import main
