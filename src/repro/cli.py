@@ -113,18 +113,15 @@ def _cmd_run(args) -> int:
 
     app = args.workload
     if args.staleness and app in MODEL_ONE:
-        from repro.core.machine import Machine
+        from repro.eval.runner import stage
 
         config = intra_config(args.config)
-        machine = Machine(
-            intra_block_machine(16),
-            config,
-            num_threads=16,
-            detect_staleness=True,
-            engine=args.engine,
-            model=args.model,
+        staged = stage(
+            "intra", app, config, scale=args.scale, detect_staleness=True,
+            engine=args.engine, model=args.model,
         )
-        MODEL_ONE[app](scale=args.scale).run_on(machine)
+        staged.run()
+        machine = staged.machine
         n = len(machine.stale_reads)
         print(f"{app} under {config.name}: verified OK, "
               f"{n} stale read(s) detected")
@@ -398,9 +395,8 @@ def _cmd_replay(args) -> int:
     num_threads = args.threads or infer_num_threads(streams)
     name = args.config or ("B+M+I" if args.model == "intra" else "Addr+L")
     config = intra_config(name) if args.model == "intra" else inter_config(name)
-    if args.model == "intra":
-        params = intra_block_machine(max(4, num_threads))
-    else:
+    params = None
+    if args.model == "inter":
         params = inter_block_machine(args.blocks, args.cores_per_block)
     tracer = Tracer() if (args.out or args.roundtrip) else None
     result = run_replay(
@@ -534,31 +530,25 @@ def _run_fix(name: str, config, as_json: bool) -> int:
     from repro.analysis import lint_machine
     from repro.analysis.fix import apply_fixes, plan_fixes, render_plan
     from repro.core.config import INTER_HCC, INTRA_HCC
-    from repro.core.machine import Machine
-    from repro.workloads.litmus import (
-        LITMUS,
-        machine_params,
-        spawn_litmus,
-    )
+    from repro.eval.runner import stage
+    from repro.workloads.litmus import LITMUS
 
     kernel = LITMUS[name]
     hcc = INTRA_HCC if kernel.model == "intra" else INTER_HCC
 
-    def outcome(cfg, plan=None):
-        machine = Machine(
-            machine_params(kernel), cfg, num_threads=kernel.threads
-        )
-        arrs, obs = spawn_litmus(kernel, machine)
+    def staged(cfg, plan=None):
+        subject = stage("litmus", name, cfg)
         if plan:
-            apply_fixes(machine, plan)
-        machine.run()
-        mem = {n: machine.read_array(a) for n, a in arrs.items()}
-        return obs, mem
+            apply_fixes(subject.machine, plan)
+        return subject
 
-    planner = Machine(
-        machine_params(kernel), config, num_threads=kernel.threads
-    )
-    spawn_litmus(kernel, planner)
+    def outcome(cfg, plan=None):
+        subject = staged(cfg, plan)
+        subject.run(verify=False)
+        arrs, obs = subject.handle
+        return obs, {n: subject.machine.read_array(a) for n, a in arrs.items()}
+
+    planner = staged(config).machine
     plan = plan_fixes(
         lint_machine(planner, name=name, config=config.name), planner
     )
@@ -566,11 +556,7 @@ def _run_fix(name: str, config, as_json: bool) -> int:
         print(render_plan(plan))
     fixed = outcome(config, plan)
     reference = outcome(hcc)
-    relint_machine = Machine(
-        machine_params(kernel), config, num_threads=kernel.threads
-    )
-    spawn_litmus(kernel, relint_machine)
-    apply_fixes(relint_machine, plan)
+    relint_machine = staged(config, plan).machine
     relint = lint_machine(relint_machine, name=name, config=config.name)
     ok = fixed == reference and relint.errors == 0
     if not as_json:

@@ -39,10 +39,6 @@ class CompilerError(ReproError):
     """The Model-2 loop-nest analysis was given an unsupported program."""
 
 
-class SweepError(ReproError):
-    """A sweep cell could not be completed (e.g. repeated worker timeouts)."""
-
-
 class OrderingError(ReproError):
     """A forbidden instruction reordering (Section III-C) was attempted."""
 

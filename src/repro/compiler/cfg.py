@@ -30,10 +30,6 @@ class Node:
     sid: int
     stmt: ir.ParallelFor | ir.SerialStmt | ir.ReduceStmt | ir.HierReduceStmt
 
-    @property
-    def name(self) -> str:
-        return self.stmt.name
-
 
 class CFG:
     """Flattened statement graph with Loop back edges."""

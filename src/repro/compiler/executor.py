@@ -142,12 +142,6 @@ class ModelTwoRunner:
     def spawn_all(self) -> None:
         self.machine.spawn_all(self._thread)
 
-    def run(self):
-        """Spawn (if needed) and execute; returns the machine statistics."""
-        if not self.machine._cpus:
-            self.spawn_all()
-        return self.machine.run()
-
     def result(self, name: str) -> list[Any]:
         """Final contents of an array from main memory (after run)."""
         return self.machine.read_array(self.arrays[name])

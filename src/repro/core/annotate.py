@@ -29,7 +29,7 @@ Under HCC every hook returns no operations.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.config import ExperimentConfig
 from repro.isa import ops as isa
@@ -145,11 +145,3 @@ class Annotator:
         if not self.config.annotations_enabled:
             return []
         return [isa.INV(addr, length)]
-
-
-def expand(op_lists: Iterable[list[isa.Op]]) -> list[isa.Op]:
-    """Flatten annotation fragments into a single op list."""
-    out: list[isa.Op] = []
-    for ops in op_lists:
-        out.extend(ops)
-    return out

@@ -132,20 +132,6 @@ class ThreadCtx:
         value = yield isa.Read(addr)
         return value
 
-    # -- Model-2 raw instrumentation (emitted by the compiler) ------------------------------
-
-    def wb_cons(self, addr: int, length: int, cons_tid: int) -> OpStream:
-        yield isa.WBCons(addr, length, cons_tid)
-
-    def inv_prod(self, addr: int, length: int, prod_tid: int) -> OpStream:
-        yield isa.InvProd(addr, length, prod_tid)
-
-    def wb_l3(self, addr: int, length: int) -> OpStream:
-        yield isa.WBL3(addr, length)
-
-    def inv_l2(self, addr: int, length: int) -> OpStream:
-        yield isa.INVL2(addr, length)
-
     # -- bulk helpers -----------------------------------------------------------------------
 
     def load_many(self, addrs: Iterable[int]) -> OpStream:

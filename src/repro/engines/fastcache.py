@@ -57,9 +57,6 @@ class PackedCache:
 
     # -- geometry -----------------------------------------------------------
 
-    def set_index(self, line_addr: int) -> int:
-        return line_addr & self._set_mask
-
     def line_id(self, line_addr: int) -> int:
         """Position of a resident line in the tag array: set*assoc + way.
 

@@ -47,8 +47,7 @@ import tempfile
 from typing import TYPE_CHECKING
 
 from repro import __version__
-from repro.common.params import inter_block_machine, intra_block_machine
-from repro.eval.runner import RunResult
+from repro.eval.runner import RunResult, layout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel → cache)
     from repro.eval.parallel import SweepCell
@@ -94,43 +93,17 @@ def describe_cell(cell: "SweepCell") -> dict:
         model = "hcc"
     elif model is None:
         model = os.environ.get(MODEL_ENV_VAR) or DEFAULT_MODEL
-    if cell.kind == "intra":
-        num_threads = kwargs.pop("num_threads", 16)
-        params = machine or intra_block_machine(num_threads)
-        geometry: dict = {"num_threads": num_threads}
-    elif cell.kind == "inter":
-        num_blocks = kwargs.pop("num_blocks", 4)
-        cores_per_block = kwargs.pop("cores_per_block", 8)
-        params = machine or inter_block_machine(num_blocks, cores_per_block)
-        geometry = {"num_blocks": num_blocks, "cores_per_block": cores_per_block}
-    elif cell.kind == "litmus":
-        from repro.workloads.litmus import LITMUS, machine_params
-
-        kernel = LITMUS[cell.app]
-        params = machine or machine_params(kernel)
-        geometry = {"model": kernel.model, "num_threads": kernel.threads}
-    elif cell.kind == "gen":
-        from repro.workloads.gen import gen_machine_params
-
-        spec = kwargs.pop("spec")
-        params = machine or gen_machine_params(spec)
-        # The canonical spec digest covers every generator parameter, so
-        # two cells collide exactly when they run the same scenario.
-        geometry = {
-            "pattern": spec.pattern,
-            "num_threads": spec.threads,
-            "scenario": spec.digest(),
-        }
-    else:
-        raise ValueError(f"unknown sweep kind {cell.kind!r}")
+    # The kind's own layout resolves the defaults, so the key describes
+    # exactly the machine the runner builds.
+    subject = layout(cell.kind, cell.app, kwargs, machine)
     return {
         "schema": CACHE_SCHEMA,
         "version": __version__,
         "kind": cell.kind,
         "app": cell.app,
         "config": dataclasses.asdict(cell.config),
-        "machine": dataclasses.asdict(params),
-        "geometry": geometry,
+        "machine": dataclasses.asdict(subject.params),
+        "geometry": subject.geometry,
         "memory_model": model,
         "scale": kwargs.pop("scale", 1.0),
         "verify": kwargs.pop("verify", True),

@@ -12,8 +12,7 @@ inherits parallelism and caching.
 Execution strategy per batch of cells:
 
 1. cells with a cache hit are rehydrated and never simulated;
-2. the remaining cells run on a process pool of ``jobs`` workers, with a
-   per-cell ``timeout`` and up to ``retries`` resubmissions on timeout;
+2. the remaining cells run on a process pool of ``jobs`` workers;
 3. with ``jobs=1``, a single pending cell, or an unavailable pool (no
    ``fork``/semaphores, broken workers, sandboxed environments), cells fall
    back to plain in-process serial execution — same results, no pool.
@@ -30,10 +29,10 @@ from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.common.errors import ConfigError, SweepError
+from repro.common.errors import ConfigError
 from repro.core.config import ExperimentConfig
 from repro.eval.cache import ResultCache
-from repro.eval.runner import RunResult, run_inter, run_intra, run_litmus
+from repro.eval.runner import RunResult, run_subject
 
 
 @dataclass(frozen=True)
@@ -59,18 +58,7 @@ class SweepCell:
 
 def _run_cell(cell: SweepCell) -> RunResult:
     """Execute one cell (module-level so the process pool can pickle it)."""
-    kwargs = dict(cell.kwargs)
-    if cell.kind == "intra":
-        return run_intra(cell.app, cell.config, **kwargs)
-    if cell.kind == "inter":
-        return run_inter(cell.app, cell.config, **kwargs)
-    if cell.kind == "litmus":
-        return run_litmus(cell.app, cell.config, **kwargs)
-    if cell.kind == "gen":
-        from repro.workloads.gen import run_gen
-
-        return run_gen(kwargs.pop("spec"), cell.config, **kwargs)
-    raise ConfigError(f"unknown sweep kind {cell.kind!r}")
+    return run_subject(cell.kind, cell.app, cell.config, **dict(cell.kwargs))
 
 
 @dataclass
@@ -82,7 +70,6 @@ class SweepStats:
     cache_hits: int = 0
     cache_misses: int = 0
     simulated: int = 0
-    retries: int = 0
     pool_fallbacks: int = 0
     wall_seconds: float = 0.0
     #: Simulated cells per CPU loop taken (``RunResult.cpu_loop``).
@@ -95,8 +82,6 @@ class SweepStats:
             f"jobs={self.jobs}",
             f"cache {self.cache_hits} hit(s) / {self.cache_misses} miss(es)",
         ]
-        if self.retries:
-            parts.append(f"{self.retries} retry(ies)")
         if self.pool_fallbacks:
             parts.append(f"{self.pool_fallbacks} serial fallback(s)")
         return "sweep: " + ", ".join(parts)
@@ -113,12 +98,6 @@ class SweepExecutor:
     cache:
         Optional :class:`ResultCache`; hits skip simulation entirely and
         fresh results are written back.
-    timeout:
-        Per-cell wall-clock budget in seconds (pool mode only — a serial
-        in-process run cannot be interrupted).
-    retries:
-        How many times a timed-out cell is resubmitted before
-        :class:`~repro.common.errors.SweepError` is raised.
     """
 
     def __init__(
@@ -126,19 +105,13 @@ class SweepExecutor:
         jobs: int | None = None,
         *,
         cache: ResultCache | None = None,
-        timeout: float | None = None,
-        retries: int = 1,
     ) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1 (got {jobs})")
-        if retries < 0:
-            raise ConfigError(f"retries must be >= 0 (got {retries})")
         self.jobs = int(jobs)
         self.cache = cache
-        self.timeout = timeout
-        self.retries = int(retries)
         self.stats = SweepStats(jobs=self.jobs)
 
     # -- public API ---------------------------------------------------------
@@ -190,7 +163,7 @@ class SweepExecutor:
             self.stats.pool_fallbacks += 1
             return [_run_cell(c) for c in cells]
         try:
-            out = self._drain(pool, cells)
+            out = list(pool.map(_run_cell, cells))
         except futures.process.BrokenProcessPool:
             # A worker died (OOM-killed, signalled).  Rerun the whole batch
             # serially: the simulator is deterministic, so this only costs
@@ -199,35 +172,12 @@ class SweepExecutor:
             pool.shutdown(wait=False, cancel_futures=True)
             return [_run_cell(c) for c in cells]
         except BaseException:
-            # SweepError (hung worker) or a simulation failure: don't block
-            # on shutdown waiting for workers we can no longer trust.
+            # A simulation failure: don't block on shutdown waiting for
+            # workers still running cells nobody will read.
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         pool.shutdown(wait=True)
         return out
-
-    def _drain(
-        self, pool: futures.ProcessPoolExecutor, cells: list[SweepCell]
-    ) -> list[RunResult]:
-        outstanding = {i: pool.submit(_run_cell, c) for i, c in enumerate(cells)}
-        out: list[RunResult | None] = [None] * len(cells)
-        for i, cell in enumerate(cells):
-            attempts = 0
-            while True:
-                try:
-                    out[i] = outstanding[i].result(timeout=self.timeout)
-                    break
-                except futures.TimeoutError:
-                    attempts += 1
-                    if attempts > self.retries:
-                        raise SweepError(
-                            f"sweep cell ({cell.app}, {cell.config.name}) "
-                            f"exceeded {self.timeout}s {attempts} time(s)"
-                        ) from None
-                    self.stats.retries += 1
-                    outstanding[i].cancel()
-                    outstanding[i] = pool.submit(_run_cell, cell)
-        return out  # type: ignore[return-value]
 
 
 def sweep_matrix(

@@ -22,7 +22,7 @@ which pushes the owner's copy down before the other thread reads it.
 verdict disagrees with the table is *unexpected* and fails the matrix.
 
 Every cell flows through one :class:`~repro.eval.parallel.SweepExecutor`
-batch, so the matrix inherits process-pool fan-out, per-cell timeouts, and
+batch, so the matrix inherits process-pool fan-out and
 the persistent result cache (which keys on the model id — see
 ``repro.eval.cache``).
 """

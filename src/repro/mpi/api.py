@@ -50,12 +50,6 @@ class _Handle:
         self.values: list[Any] | None = None
         self._pending: tuple[int, ...] = ()
 
-    def wait(self):
-        if not self.done:
-            raise MPIError("handle not completed — drive it with comm.wait()")
-        return self.values
-        yield  # pragma: no cover - keeps this a generator for uniform use
-
 
 class MPIComm:
     """A communicator over the machine's threads (one rank per thread)."""

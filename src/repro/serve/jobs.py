@@ -474,21 +474,22 @@ def _compile_chaos(spec: dict) -> CompiledJob:
 def lint_targets(spec: dict) -> list[tuple[str, str, Any]]:
     """Resolve a ``lint`` spec's targets to ``(kind, name, config)``.
 
-    ``kind`` is ``m1`` (SPLASH), ``m2`` (NAS) or ``litmus``; ``config`` is
-    the Table II configuration the target is analyzed under (``config``
-    field, else Base intra / Addr inter — never HCC).
+    ``kind`` is the sweep kind: ``intra`` (SPLASH), ``inter`` (NAS) or
+    ``litmus``; ``config`` is the Table II configuration the target is
+    analyzed under (``config`` field, else Base intra / Addr inter — never
+    HCC).
     """
     from repro.workloads.litmus import LITMUS
 
     targets: list[tuple[str, str]] = []
     if _get(spec, "all_workloads", False, types=bool):
-        targets += [("m1", n) for n in sorted(MODEL_ONE)]
-        targets += [("m2", n) for n in sorted(MODEL_TWO)]
+        targets += [("intra", n) for n in sorted(MODEL_ONE)]
+        targets += [("inter", n) for n in sorted(MODEL_TWO)]
     for name in _name_list(spec, "workloads"):
         if name in MODEL_ONE:
-            targets.append(("m1", name))
+            targets.append(("intra", name))
         elif name in MODEL_TWO:
-            targets.append(("m2", name))
+            targets.append(("inter", name))
         elif name in LITMUS:
             targets.append(("litmus", name))
         else:
@@ -500,10 +501,7 @@ def lint_targets(spec: dict) -> list[tuple[str, str, Any]]:
     config_name = _get(spec, "config", None, types=str)
     out = []
     for kind, name in targets:
-        model = (
-            LITMUS[name].model if kind == "litmus"
-            else ("intra" if kind == "m1" else "inter")
-        )
+        model = LITMUS[name].model if kind == "litmus" else kind
         [config] = _configs(
             [config_name or ("Base" if model == "intra" else "Addr")], model
         )
@@ -516,30 +514,19 @@ def lint_targets(spec: dict) -> list[tuple[str, str, Any]]:
     return out
 
 
+#: The small machines lint stages each target kind on.
+_LINT_GEOMETRY = {
+    "intra": {"num_threads": 4},
+    "inter": {"num_blocks": 2, "cores_per_block": 2},
+    "litmus": {},
+}
+
+
 def lint_subject(kind: str, name: str, config, scale: float):
     """A fresh machine with one lint target prepared (spawned, not run)."""
-    from repro.common.params import inter_block_machine, intra_block_machine
-    from repro.core.machine import Machine
-    from repro.workloads.litmus import LITMUS, machine_params, spawn_litmus
+    from repro.eval.runner import stage
 
-    if kind == "litmus":
-        kernel = LITMUS[name]
-        machine = Machine(
-            machine_params(kernel), config, num_threads=kernel.threads
-        )
-        spawn_litmus(kernel, machine)
-    elif kind == "m1":
-        machine = Machine(intra_block_machine(4), config, num_threads=4)
-        MODEL_ONE[name](scale=scale).prepare(machine)
-    else:
-        machine = Machine(inter_block_machine(2, 2), config, num_threads=4)
-        cls = MODEL_TWO[name]
-        try:
-            workload = cls(scale=scale, num_blocks=2)
-        except TypeError:  # most Model-2 workloads are block-agnostic
-            workload = cls(scale=scale)
-        workload.prepare(machine)
-    return machine
+    return stage(kind, name, config, scale=scale, **_LINT_GEOMETRY[kind]).machine
 
 
 def _lint_one(kind: str, name: str, config, scale: float, model: str) -> dict:

@@ -10,12 +10,11 @@ of clients simulate once and rehydrate everywhere else, and per-unit
 hit/miss counters flow back to the job so every response can say how much
 work the cache absorbed.
 
-Resilience mirrors the sweep engine's per-cell timeout/retry discipline:
-a unit that raises (or exceeds ``timeout`` seconds) is retried up to
-``retries`` times before its failure is reported; the simulator is
-deterministic, so a retry can only cost time, never change a result.  A
-seeded :class:`WorkerFaultPlan` can inject worker crashes or stalls in
-front of real units — the serve-layer analogue of :mod:`repro.faults` —
+Resilience: a unit that raises (or exceeds ``timeout`` seconds) is
+retried up to ``retries`` times before its failure is reported; the
+simulator is deterministic, so a retry can only cost time, never change
+a result.  A seeded :class:`WorkerFaultPlan` can inject worker crashes or
+stalls in front of real units — the serve-layer analogue of :mod:`repro.faults` —
 which is how the tests prove that retry keeps served results bit-identical
 under a flaky worker pool.
 

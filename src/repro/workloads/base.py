@@ -124,14 +124,20 @@ class ModelOneWorkload(ABC):
 
 
 class ModelTwoWorkload(ABC):
-    """A NAS-style inter-block workload expressed in the Model-2 IR."""
+    """A NAS-style inter-block workload expressed in the Model-2 IR.
+
+    ``num_blocks`` is the block count of the machine the program will run
+    on; only block-aware programs (the hierarchical reduction of
+    ``ep_hier``) read it.
+    """
 
     name: str = ""
 
-    def __init__(self, scale: float = 1.0) -> None:
+    def __init__(self, scale: float = 1.0, num_blocks: int = 4) -> None:
         if scale <= 0:
             raise ConfigError("scale must be positive")
         self.scale = scale
+        self.num_blocks = num_blocks
 
     @abstractmethod
     def build(self) -> tuple[IRProgram, dict[str, list[Any]]]:

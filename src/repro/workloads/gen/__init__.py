@@ -122,18 +122,7 @@ def verify_scenario(machine: Machine, scenario: Scenario, arrays: dict) -> None:
             )
 
 
-def run_gen(
-    spec: ScenarioSpec,
-    config: ExperimentConfig,
-    *,
-    verify: bool = True,
-    machine_params=None,
-    tracer=None,
-    metrics=None,
-    faults=None,
-    memory_digest: bool = False,
-    engine: str | None = None,
-):
+def run_gen(spec: ScenarioSpec, config: ExperimentConfig, **options):
     """Run one generated scenario as a sweep cell (cf. ``run_litmus``).
 
     ``verify=True`` applies the analytic oracle: every word of the final
@@ -141,39 +130,23 @@ def run_gen(
     generating — on *any* configuration (generated programs are coherent
     by construction, so even plain incoherent Base must agree with HCC),
     and under any armed fault plan (scenarios are timing-independent, the
-    chaos contract).
+    chaos contract).  *options* are :func:`repro.eval.runner.run_subject`'s.
     """
-    from repro.eval.runner import _finish_result, _make_injector
+    from repro.eval.runner import run_subject
 
-    scenario = build_scenario(spec)
-    params = machine_params or gen_machine_params(spec)
-    injector = _make_injector(faults)
-    machine = Machine(
-        params, config, num_threads=spec.threads, tracer=tracer,
-        metrics=metrics, faults=injector, engine=engine,
-    )
-    arrays = spawn_scenario(machine, scenario)
-    stats = machine.run()
-    if verify:
-        verify_scenario(machine, scenario, arrays)
-    return _finish_result(
-        spec.name, config, machine, stats, metrics, injector, memory_digest
-    )
+    return run_subject("gen", spec.name, config, spec=spec, **options)
 
 
 def lint_scenario(spec: ScenarioSpec, config: ExperimentConfig):
     """Static-check a generated scenario under *config*; return the report.
 
-    Builds a fresh (never-run) machine, spawns the scenario, and hands it
-    to the Section IV-A analyzer — the fleet requires a clean report from
+    Stages a fresh (never-run) machine with the scenario spawned and hands
+    it to the Section IV-A analyzer — the fleet requires a clean report from
     every scenario it runs.  HCC is rejected by the analyzer (nothing to
     lint), matching ``repro lint``.
     """
     from repro.analysis.lint import lint_machine
+    from repro.eval.runner import stage
 
-    scenario = build_scenario(spec)
-    machine = Machine(
-        gen_machine_params(spec), config, num_threads=spec.threads
-    )
-    spawn_scenario(machine, scenario)
+    machine = stage("gen", spec.name, config, spec=spec).machine
     return lint_machine(machine, name=spec.name, config=config.name)

@@ -134,10 +134,6 @@ class EPHierarchical(ModelTwoWorkload):
     name = "ep_hier"
     verify_arrays = ("q",)
 
-    def __init__(self, scale: float = 1.0, num_blocks: int = 4) -> None:
-        super().__init__(scale)
-        self.num_blocks = num_blocks
-
     def build(self):
         pairs = max(64, round(1024 * self.scale))
         return build_ep_hier(

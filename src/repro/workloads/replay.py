@@ -202,38 +202,17 @@ def spawn_replay(machine: Machine, events: Iterable[dict]) -> None:
         )
 
 
-def run_replay(
-    events,
-    config: ExperimentConfig,
-    *,
-    machine_params,
-    num_threads: int | None = None,
-    placement=None,
-    tracer=None,
-    metrics=None,
-    memory_digest: bool = False,
-    engine: str | None = None,
-    app: str = "replay",
-):
-    """Replay *events* (a list or a JSONL path) as one verified-style run.
+def run_replay(events, config: ExperimentConfig, *, app: str = "replay", **options):
+    """Replay *events* (a list or a JSONL path) as one run.
 
-    Mirrors :func:`repro.eval.runner.run_litmus`: builds the machine,
-    spawns the reconstructed per-core streams, runs to completion, and
-    returns a :class:`~repro.eval.runner.RunResult`.  ``num_threads``
-    defaults to the populated-core count (identity placement).
+    The ``replay`` subject of :func:`repro.eval.runner.run_subject`: it
+    stages the machine, spawns the reconstructed per-core streams, runs to
+    completion, and returns a :class:`~repro.eval.runner.RunResult`.
+    ``num_threads`` defaults to the populated-core count (identity
+    placement), ``machine_params`` to a litmus-style intra block.
     """
-    from repro.eval.runner import _finish_result
+    from repro.eval.runner import run_subject
 
     if not isinstance(events, list):
         events = load_events(events)
-    if num_threads is None:
-        num_threads = infer_num_threads(programs_by_core(events))
-    machine = Machine(
-        machine_params, config, num_threads=num_threads, placement=placement,
-        tracer=tracer, metrics=metrics, engine=engine,
-    )
-    spawn_replay(machine, events)
-    stats = machine.run()
-    return _finish_result(
-        app, config, machine, stats, metrics, None, memory_digest
-    )
+    return run_subject("replay", app, config, events=events, **options)

@@ -43,8 +43,6 @@ class TestSweepExecutor:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ConfigError):
             SweepExecutor(jobs=0)
-        with pytest.raises(ConfigError):
-            SweepExecutor(retries=-1)
 
     def test_default_jobs_is_cpu_count(self):
         import os
