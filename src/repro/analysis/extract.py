@@ -118,9 +118,9 @@ class _Thread:
     events: list[OpEvent] = field(default_factory=list)
     #: (op, call_path) of a blocking op issued but not yet completed.
     pending: tuple[isa.Op, tuple[str, ...]] | None = None
-    #: A batch op split across quantum boundaries:
-    #: (op, call_path, next micro-op index, values read so far).
-    batch: tuple[isa.Op, tuple[str, ...], int, list] | None = None
+    #: A batch op in progress, possibly across quantum boundaries:
+    #: (op, its running ``expand()`` generator, call_path).
+    batch: tuple[isa.Op, Any, tuple[str, ...]] | None = None
 
 
 class _Extractor:
@@ -259,12 +259,8 @@ class _Extractor:
             thread.started = True
             thread.send = None
             path = _call_path(gen)
-            if type(op) in isa.BATCH_OPS:
-                # Batches are charged per expanded micro-op, and the
-                # quantum boundary may fall inside one — the word-level
-                # interleaving is exactly that of the scalar form.
-                thread.batch = (op, path, 0, [])
-                budget = self._resume_batch(thread, budget)
+            if isinstance(op, isa.BATCH_OPS):
+                thread.batch = (op, op.expand(), path)
                 continue
             budget -= 1
             self._charge()
@@ -280,77 +276,28 @@ class _Extractor:
             )
 
     def _resume_batch(self, thread: _Thread, budget: int) -> int:
-        """Execute micro-ops of the thread's in-progress batch.
+        """Execute ops of the thread's in-progress batch expansion.
 
-        Read-modify-write batches expand to two micro-ops per element, and
-        the quantum boundary may fall between them, exactly as it could
-        between the scalar ``Read`` and ``Write``.  ``thread.send`` is only
-        delivered once the whole batch has executed.
+        Each scalar op the batch's ``expand()`` yields is one quantum unit,
+        so the quantum boundary may fall inside a batch (between the
+        ``Read`` and ``Write`` of a read-modify-write element too), exactly
+        as it could inside the scalar form.  The program receives the
+        expansion's return value once the whole batch has executed.
         """
-        op, path, pos, acc = thread.batch  # type: ignore[misc]
-        kind = type(op)
-        if kind is isa.ReadBatch:
-            addrs = op.addrs
-            total = len(addrs)
-            while pos < total and budget > 0:
-                acc.append(self._read(addrs[pos]))
-                self._record(thread, isa.Read(addrs[pos]), path)
-                pos += 1
-                budget -= 1
-                self._charge()
-            done = pos == total
-            if done:
-                thread.send = acc
-        elif kind is isa.WriteBatch:
-            addrs, values = op.addrs, op.values
-            if len(addrs) != len(values):
-                raise AnalysisError("WriteBatch addrs/values length mismatch")
-            total = len(addrs)
-            while pos < total and budget > 0:
-                self._write(addrs[pos], values[pos])
-                self._record(thread, isa.Write(addrs[pos], values[pos]), path)
-                pos += 1
-                budget -= 1
-                self._charge()
-            done = pos == total
-        elif kind is isa.CopyBatch:
-            srcs, dsts = op.src_addrs, op.dst_addrs
-            if len(srcs) != len(dsts):
-                raise AnalysisError("CopyBatch src/dst length mismatch")
-            total = 2 * len(srcs)
-            while pos < total and budget > 0:
-                k, phase = divmod(pos, 2)
-                if phase == 0:
-                    acc.append(self._read(srcs[k]))
-                    self._record(thread, isa.Read(srcs[k]), path)
-                else:
-                    self._write(dsts[k], acc[k])
-                    self._record(thread, isa.Write(dsts[k], acc[k]), path)
-                pos += 1
-                budget -= 1
-                self._charge()
-            done = pos == total
-        elif kind is isa.AddBatch:
-            addrs, deltas = op.addrs, op.deltas
-            if len(addrs) != len(deltas):
-                raise AnalysisError("AddBatch addrs/deltas length mismatch")
-            total = 2 * len(addrs)
-            while pos < total and budget > 0:
-                k, phase = divmod(pos, 2)
-                if phase == 0:
-                    acc.append(self._read(addrs[k]))
-                    self._record(thread, isa.Read(addrs[k]), path)
-                else:
-                    new = acc[k] + deltas[k]
-                    self._write(addrs[k], new)
-                    self._record(thread, isa.Write(addrs[k], new), path)
-                pos += 1
-                budget -= 1
-                self._charge()
-            done = pos == total
-        else:  # pragma: no cover - BATCH_OPS is exhaustive
-            raise AnalysisError(f"unknown batch op {kind.__name__}")
-        thread.batch = None if done else (op, path, pos, acc)
+        op, expansion, path = thread.batch  # type: ignore[misc]
+        while budget > 0:
+            try:
+                micro = expansion.send(thread.send)
+            except StopIteration as stop:
+                thread.batch = None
+                thread.send = stop.value
+                return budget
+            except ValueError as exc:
+                raise AnalysisError(f"{op.mnemonic}: {exc}") from exc
+            thread.send = None
+            budget -= 1
+            self._charge()
+            self._execute(thread, micro, path)
         return budget
 
     def _execute(

@@ -112,12 +112,15 @@ def _cmd_run(args) -> int:
     from repro.eval.runner import RunResult
 
     app = args.workload
-    if args.staleness and app in MODEL_ONE:
+    if args.staleness and (app in MODEL_ONE or app in MODEL_TWO):
         from repro.eval.runner import stage
 
-        config = intra_config(args.config)
+        if app in MODEL_ONE:
+            kind, config = "intra", intra_config(args.config)
+        else:
+            kind, config = "inter", inter_config(args.config)
         staged = stage(
-            "intra", app, config, scale=args.scale, detect_staleness=True,
+            kind, app, config, scale=args.scale, detect_staleness=True,
             engine=args.engine, model=args.model,
         )
         staged.run()
@@ -933,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--staleness",
         action="store_true",
-        help="run with the stale-read detector (Model-1 workloads); "
+        help="run with the stale-read detector; "
         "exit 1 if any read returned stale data",
     )
     p_run.set_defaults(fn=_cmd_run)

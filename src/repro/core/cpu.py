@@ -94,7 +94,7 @@ class CPU:
         # already ints; Compute cycles are coerced explicitly).
         stalls = stats.stalls
         rest = StallCat.REST
-        advance = self.program.send
+        program_send = advance = self.program.send
         core_id = self.core_id
         accumulated = 0
         send = self._send_value
@@ -111,7 +111,11 @@ class CPU:
         while True:
             try:
                 op = advance(send)
-            except StopIteration:
+            except StopIteration as stop:
+                if advance is not program_send:  # a batch expansion ended
+                    send = stop.value
+                    advance = program_send
+                    continue
                 if accumulated:
                     engine.schedule(accumulated, self._finish)
                 else:
@@ -151,71 +155,10 @@ class CPU:
                     )
                 stalls[rest] += cycles
                 accumulated += cycles
-            elif kind is isa.ReadBatch:
-                values = []
-                for addr in op.addrs:
-                    if observing and tracer is not None:
-                        tracer.cycle = engine.now + accumulated
-                    lat, value = proto.read(core_id, addr)
-                    stats.loads += 1
-                    stalls[rest] += lat
-                    accumulated += lat
-                    if observing:
-                        self._obs_access("read", tracer, metrics, addr, lat)
-                    values.append(value)
-                send = values
-            elif kind is isa.WriteBatch:
-                for addr, value in zip(op.addrs, op.values, strict=True):
-                    if observing and tracer is not None:
-                        tracer.cycle = engine.now + accumulated
-                    lat = proto.write(core_id, addr, value)
-                    stats.stores += 1
-                    stalls[rest] += lat
-                    accumulated += lat
-                    if observing:
-                        self._obs_access(
-                            "write", tracer, metrics, addr, lat, val=value
-                        )
-            elif kind is isa.CopyBatch:
-                for src, dst in zip(op.src_addrs, op.dst_addrs, strict=True):
-                    if observing and tracer is not None:
-                        tracer.cycle = engine.now + accumulated
-                    lat, value = proto.read(core_id, src)
-                    stats.loads += 1
-                    stalls[rest] += lat
-                    accumulated += lat
-                    if observing:
-                        self._obs_access("read", tracer, metrics, src, lat)
-                        if tracer is not None:
-                            tracer.cycle = engine.now + accumulated
-                    lat = proto.write(core_id, dst, value)
-                    stats.stores += 1
-                    stalls[rest] += lat
-                    accumulated += lat
-                    if observing:
-                        self._obs_access(
-                            "write", tracer, metrics, dst, lat, val=value
-                        )
-            elif kind is isa.AddBatch:
-                for addr, delta in zip(op.addrs, op.deltas, strict=True):
-                    if observing and tracer is not None:
-                        tracer.cycle = engine.now + accumulated
-                    lat, value = proto.read(core_id, addr)
-                    stats.loads += 1
-                    stalls[rest] += lat
-                    accumulated += lat
-                    if observing:
-                        self._obs_access("read", tracer, metrics, addr, lat)
-                        if tracer is not None:
-                            tracer.cycle = engine.now + accumulated
-                    lat = proto.write(core_id, addr, value + delta)
-                    stats.stores += 1
-                    stalls[rest] += lat
-                    accumulated += lat
-                    if observing:
-                        self._obs_access(
-                            "write", tracer, metrics, addr, lat, val=value + delta
-                        )
+            elif isinstance(op, isa.BATCH_OPS):
+                # Run the op's defining scalar sequence through the arms
+                # above; its return value goes to the program when it ends.
+                advance = op.expand().send
             elif isinstance(op, isa.SYNC_OPS):
                 self._issue_sync(op, accumulated)
                 return

@@ -11,8 +11,9 @@ float math:
   precomputed constant,
 * loads/stores/hits/stall counters accumulate in locals and flush to
   :class:`~repro.sim.stats.CoreStats` at scheduling boundaries,
-* batch macro-ops (``ReadBatch``/``WriteBatch``/``CopyBatch``/``AddBatch``)
-  run their whole word sequence inside one dispatch.
+* ``ReadBatch``/``WriteBatch`` run their whole word sequence inline in
+  one dispatch; the rarer batch kinds run their ``expand()`` sequence
+  through the scalar arms.
 
 The same loop serves directory MESI, the incoherent hierarchy, and every
 memory model built on it (:mod:`repro.models`).  Each protocol states its
@@ -120,7 +121,7 @@ class FastCPU(CPU):
         stats = self.stats
         stalls = stats.stalls
         rest = StallCat.REST
-        advance = self.program.send
+        program_send = advance = self.program.send
         core_id = self.core_id
         faults = self.machine.faults
         hier = proto.hier
@@ -143,7 +144,6 @@ class FastCPU(CPU):
         proto_write = proto.write
         Read, Write, Compute = isa.Read, isa.Write, isa.Compute
         ReadBatch, WriteBatch = isa.ReadBatch, isa.WriteBatch
-        CopyBatch, AddBatch = isa.CopyBatch, isa.AddBatch
 
         acc = 0          # this step's total simulated cycles
         rest_cyc = 0     # portion attributed to StallCat.REST
@@ -206,7 +206,11 @@ class FastCPU(CPU):
         while True:
             try:
                 op = advance(send)
-            except StopIteration:
+            except StopIteration as stop:
+                if advance is not program_send:  # a batch expansion ended
+                    send = stop.value
+                    advance = program_send
+                    continue
                 l1._stamp = stamp
                 stats.loads += loads
                 stats.stores += stores
@@ -394,97 +398,10 @@ class FastCPU(CPU):
                         stamp = l1._stamp
                     rest_cyc += lat
                     acc += lat
-            elif kind is CopyBatch or kind is AddBatch:
-                if kind is CopyBatch:
-                    pairs = zip(op.src_addrs, op.dst_addrs, strict=True)
-                else:
-                    pairs = zip(op.addrs, op.deltas, strict=True)
-                for src, second in pairs:
-                    loads += 1
-                    stores += 1
-                    la = src >> line_shift
-                    slot = index_get(la)
-                    if admit is not None and not admit(la):
-                        line = None
-                    elif slot is not None:
-                        word = (src & off_mask) >> 2
-                        line = lines_arr[slot]
-                        if (
-                            not armed
-                            or ieb._mask >> la & 1
-                            or line.dirty_mask >> word & 1
-                        ) and (fresh is None or fresh(la, line, word)):
-                            stamp += 1
-                            stamps[slot] = stamp
-                            hits += 1
-                            rest_cyc += hit_lat
-                            acc += hit_lat
-                            value = line.data[word]
-                        else:
-                            line = None
-                    elif fill and (not armed or ieb._mask >> la & 1):
-                        line = l2_fetch(la)
-                        if line is not None:
-                            lat = l2_lat_row[la % cpb]
-                            rest_cyc += lat
-                            acc += lat
-                            value = line.data[(src & off_mask) >> 2]
-                    else:
-                        line = None
-                    if line is None:
-                        l1._stamp = stamp
-                        lat, value = proto_read(core_id, src)
-                        stamp = l1._stamp
-                        rest_cyc += lat
-                        acc += lat
-                    if kind is CopyBatch:
-                        waddr = second
-                    else:
-                        waddr = src
-                        value = value + second
-                    la = waddr >> line_shift
-                    slot = index_get(la)
-                    if admit is not None and not admit(la):
-                        wline = None
-                    elif (
-                        slot is not None
-                        and (wline := lines_arr[slot]).state is wstate
-                    ):
-                        stamp += 1
-                        stamps[slot] = stamp
-                        word = (waddr & off_mask) >> 2
-                        wline.data[word] = value
-                        bit = 1 << word
-                        dm = wline.dirty_mask
-                        if not dm & bit:
-                            wline.dirty_mask = dm | bit
-                            if meb_record is not None:
-                                meb_record(la)
-                        if on_write is not None:
-                            on_write(la)
-                        hits += 1
-                        rest_cyc += hit_lat
-                        acc += hit_lat
-                        continue
-                    elif slot is None and fill:
-                        wline = l2_fetch(la)
-                    else:
-                        wline = None
-                    if wline is not None:
-                        word = (waddr & off_mask) >> 2
-                        wline.data[word] = value
-                        wline.dirty_mask = 1 << word
-                        if meb_record is not None:
-                            meb_record(la)
-                        if on_write is not None:
-                            on_write(la)
-                        lat = ov(l2_lat_row[la % cpb])
-                    else:
-                        l1._stamp = stamp
-                        lat = proto_write(core_id, waddr, value)
-                        stamp = l1._stamp
-                    rest_cyc += lat
-                    acc += lat
+            elif isinstance(op, isa.BATCH_OPS):
+                # The rarer batch kinds run their defining scalar sequence
+                # through the arms above; the program gets its return value.
+                advance = op.expand().send
             elif isinstance(op, isa.SYNC_OPS):
                 l1._stamp = stamp
                 stats.loads += loads

@@ -72,13 +72,19 @@ class Compute(Op):
 
 # -- batched memory accesses ---------------------------------------------------
 #
-# Batch operations are *macro-ops*: each is defined as the exact per-word
-# sequence of ``Read``/``Write`` operations given in its docstring, executed
-# in order, and every engine charges latency, updates cache state, and counts
-# statistics word by word exactly as the scalar sequence would.  They exist
-# so a hot loop can hand the core a whole run of accesses in one generator
-# round-trip instead of one ``yield`` per word — the scalar and batched
-# forms of a program are bit-identical in stats and final memory.
+# Batch operations are *macro-ops*.  Each one's meaning is its ``expand()``
+# generator: it yields the op's defining scalar ``Read``/``Write``
+# sequence in order, receives each read's value, and returns what the
+# program gets back (the value list for ``ReadBatch``, ``None`` otherwise).
+# The reference core and the analyzer run that expansion as is, and the
+# fast engine's fused loop runs it through its scalar arms, keeping inline
+# copies only for ``ReadBatch``/``WriteBatch``.  Every engine therefore
+# charges latency, updates cache state, and counts statistics word by word
+# exactly as the scalar sequence would.  Batches exist so a hot loop can
+# hand the core a whole run of accesses in one generator round-trip instead
+# of one ``yield`` per word; the scalar and batched forms of a program are
+# bit-identical in stats and final memory.  Paired sequences of unequal
+# length raise ``ValueError`` when the shorter one runs out.
 
 
 class ReadBatch(Op):
@@ -93,6 +99,12 @@ class ReadBatch(Op):
     def __init__(self, addrs) -> None:
         self.addrs = addrs
 
+    def expand(self):
+        values = []
+        for addr in self.addrs:
+            values.append((yield Read(addr)))
+        return values
+
 
 class WriteBatch(Op):
     """Store ``values[k]`` to ``addrs[k]`` in order.
@@ -106,6 +118,10 @@ class WriteBatch(Op):
     def __init__(self, addrs, values) -> None:
         self.addrs = addrs
         self.values = values
+
+    def expand(self):
+        for addr, value in zip(self.addrs, self.values, strict=True):
+            yield Write(addr, value)
 
 
 class CopyBatch(Op):
@@ -123,6 +139,10 @@ class CopyBatch(Op):
         self.src_addrs = src_addrs
         self.dst_addrs = dst_addrs
 
+    def expand(self):
+        for src, dst in zip(self.src_addrs, self.dst_addrs, strict=True):
+            yield Write(dst, (yield Read(src)))
+
 
 class AddBatch(Op):
     """Accumulate: ``v = Read(a[k]); Write(a[k], v + deltas[k])`` per k.
@@ -137,6 +157,10 @@ class AddBatch(Op):
     def __init__(self, addrs, deltas) -> None:
         self.addrs = addrs
         self.deltas = deltas
+
+    def expand(self):
+        for addr, delta in zip(self.addrs, self.deltas, strict=True):
+            yield Write(addr, (yield Read(addr)) + delta)
 
 
 # -- writeback flavors (Section III-B, V) ------------------------------------
@@ -347,8 +371,8 @@ class EpochEnd(Op):
 #: Operation classes that read or write a single explicit word address.
 ADDRESSED_OPS = (Read, Write)
 
-#: Batched macro-ops; every engine and the analyzer expand these to their
-#: defining per-word Read/Write sequence.
+#: Batched macro-ops; each one's ``expand()`` is its definition, the
+#: per-word Read/Write sequence every engine and the analyzer execute.
 BATCH_OPS = (ReadBatch, WriteBatch, CopyBatch, AddBatch)
 
 #: WB-family operations, used by accounting and by the write buffer model.

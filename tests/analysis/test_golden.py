@@ -1,9 +1,11 @@
-"""Golden-file regression test for the JSON lint report.
+"""Golden-file regression tests for the lint reports.
 
 The extraction scheduler and the checker are deterministic, so the full
 JSON report for the canary kernel is stable byte-for-byte.  Any change to
 the edge derivation, rule attribution, aggregation, or report schema shows
-up here as a readable diff.
+up here as a readable diff.  The ``repro lint --all-workloads`` summary
+pins the op and communication-edge counts the extractor derives from
+every workload, batch expansions included.
 
 To regenerate after an *intentional* change::
 
@@ -19,6 +21,7 @@ import pathlib
 
 import pytest
 
+from repro.cli import main
 from tests.analysis.helpers import lint_litmus
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -48,3 +51,8 @@ def test_canary_json_report_golden():
 def test_broken_lock_handoff_text_report_golden():
     report = lint_litmus("lock_handoff_three_threads_broken")
     check_golden("lint_lock_handoff_broken.txt", report.render())
+
+
+def test_all_workloads_text_summary_golden(capsys):
+    assert main(["lint", "--all-workloads"]) == 0
+    check_golden("lint_all_workloads.txt", capsys.readouterr().out.rstrip("\n"))

@@ -73,6 +73,12 @@ def test_run_staleness_mode(capsys):
     assert "0 stale read(s)" in out
 
 
+def test_run_staleness_mode_inter(capsys):
+    assert main(["run", "ep", "--scale", "0.25", "--staleness"]) == 0
+    out = capsys.readouterr().out
+    assert "ep under Addr+L: verified OK, 0 stale read(s) detected" in out
+
+
 def _fail_oracle(monkeypatch, name):
     """Make *name*'s self-checking oracle fail (in-process runs only)."""
     import dataclasses

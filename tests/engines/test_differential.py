@@ -4,8 +4,10 @@ Hypothesis generates small multithreaded programs over the whole batched
 ISA — scalar and batch reads/writes, interleaved copy/accumulate
 macro-ops, WB/INV annotations (range and ALL), MEB/IEB epochs, and
 compute delays — and runs each program on the reference and the fast
-engine under the same configuration.  Statistics, observed load values,
-and final memory must match bit-for-bit.
+engine under the same configuration, and a third time on the reference
+engine with every batch instruction written out as its documented scalar
+form.  Statistics, observed load values, and final memory must match
+bit-for-bit.
 
 This is the adversarial complement to ``test_equivalence``: the litmus
 kernels and workloads exercise *sensible* programs, while Hypothesis
@@ -21,8 +23,11 @@ middle of batch macro-ops.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import lint_machine
+from repro.common.errors import AnalysisError
 from repro.common.params import WORD_BYTES, intra_block_machine
 from repro.core.config import INTRA_BASE, INTRA_BMI, INTRA_HCC
 from repro.core.machine import Machine
@@ -69,26 +74,52 @@ _programs = st.lists(_program, min_size=NTHREADS, max_size=NTHREADS)
 _INCOHERENT_ONLY = {"wb", "inv", "wb_all", "inv_all", "epoch"}
 
 
-def _emit(instr, arr, obs):
-    """Yield the ISA ops for one instruction tuple; record loads in *obs*."""
+def _emit(instr, arr, obs, scalar=False):
+    """Yield the ISA ops for one instruction tuple; record loads in *obs*.
+
+    With *scalar*, each batch instruction is written out as the scalar
+    ``Read``/``Write`` sequence its docstring in :mod:`repro.isa.ops`
+    defines it to be.
+    """
     kind = instr[0]
     if kind == "read":
         obs.append((yield isa.Read(arr.addr(instr[1]))))
     elif kind == "write":
         yield isa.Write(arr.addr(instr[1]), instr[2])
     elif kind == "read_batch":
-        values = yield isa.ReadBatch([arr.addr(i) for i in instr[1]])
-        obs.extend(values)
+        addrs = [arr.addr(i) for i in instr[1]]
+        if scalar:
+            for a in addrs:
+                obs.append((yield isa.Read(a)))
+        else:
+            obs.extend((yield isa.ReadBatch(addrs)))
     elif kind == "write_batch":
-        yield isa.WriteBatch([arr.addr(i) for i, _ in instr[1]],
-                             [v for _, v in instr[1]])
+        addrs = [arr.addr(i) for i, _ in instr[1]]
+        values = [v for _, v in instr[1]]
+        if scalar:
+            for a, v in zip(addrs, values):
+                yield isa.Write(a, v)
+        else:
+            yield isa.WriteBatch(addrs, values)
     elif kind == "copy_batch":
         n = min(len(instr[1]), len(instr[2]))
-        yield isa.CopyBatch([arr.addr(i) for i in instr[1][:n]],
-                            [arr.addr(i) for i in instr[2][:n]])
+        srcs = [arr.addr(i) for i in instr[1][:n]]
+        dsts = [arr.addr(i) for i in instr[2][:n]]
+        if scalar:
+            for src, dst in zip(srcs, dsts):
+                v = yield isa.Read(src)
+                yield isa.Write(dst, v)
+        else:
+            yield isa.CopyBatch(srcs, dsts)
     elif kind == "add_batch":
-        yield isa.AddBatch([arr.addr(i) for i, _ in instr[1]],
-                           [v for _, v in instr[1]])
+        addrs = [arr.addr(i) for i, _ in instr[1]]
+        deltas = [d for _, d in instr[1]]
+        if scalar:
+            for a, d in zip(addrs, deltas):
+                v = yield isa.Read(a)
+                yield isa.Write(a, v + d)
+        else:
+            yield isa.AddBatch(addrs, deltas)
     elif kind == "wb":
         yield isa.WB(arr.addr(instr[1]), instr[2] * WORD_BYTES)
     elif kind == "inv":
@@ -102,12 +133,15 @@ def _emit(instr, arr, obs):
     elif kind == "epoch":
         yield isa.EpochBegin(record_meb=instr[1], ieb_mode=instr[2])
         for sub in instr[3]:
-            yield from _emit(sub, arr, obs)
+            yield from _emit(sub, arr, obs, scalar)
         yield isa.EpochEnd()
 
 
-def _run(programs, config, engine, model=None):
-    """One deterministic run; returns (stats dict, observations, memory)."""
+def _run(programs, config, engine, model=None, scalar=False):
+    """One deterministic run; returns (stats dict, observations, memory).
+
+    *scalar* issues every batch instruction in its scalar form.
+    """
     coherent = config.hardware_coherent
     machine = Machine(
         intra_block_machine(4), config, num_threads=NTHREADS, engine=engine,
@@ -122,7 +156,7 @@ def _run(programs, config, engine, model=None):
             for instr in instrs:
                 if coherent and instr[0] in _INCOHERENT_ONLY:
                     continue
-                yield from _emit(instr, arr, mine)
+                yield from _emit(instr, arr, mine, scalar)
         return program
 
     for tid, instrs in enumerate(programs):
@@ -150,6 +184,9 @@ def test_random_programs_engine_equivalent(programs, cell):
     ref = _run(programs, config, "ref", model)
     fast = _run(programs, config, "fast", model)
     assert fast == ref
+    # Batch ≡ scalar: the batch forms mean exactly their documented
+    # scalar sequences.
+    assert _run(programs, config, "ref", model, scalar=True) == ref
 
 
 def _mid_batch_program(tid, arr):
@@ -201,3 +238,38 @@ def test_model_transitions_mid_batch_engine_equivalent():
         assert (fast_stats, fast_mem) == (ref_stats, ref_mem)
         for name in names:
             assert ref_stats[name] > 0, (model, name)
+
+
+#: Batches whose paired sequences differ in length (three addresses, two
+#: values/destinations/deltas).
+_MISMATCHED = {
+    "st_batch": lambda a: isa.WriteBatch(a[:3], [1, 2]),
+    "copy_batch": lambda a: isa.CopyBatch(a[:3], a[3:5]),
+    "add_batch": lambda a: isa.AddBatch(a[:3], [1, 2]),
+}
+
+
+def _mismatched_machine(mnemonic, engine="ref"):
+    machine = Machine(intra_block_machine(4), INTRA_BASE, num_threads=1,
+                      engine=engine)
+    arr = machine.array("a", NWORDS)
+    op = _MISMATCHED[mnemonic]([arr.addr(i) for i in range(8)])
+
+    def program(ctx):
+        yield op
+
+    machine.spawn(program)
+    return machine
+
+
+@pytest.mark.parametrize("mnemonic", sorted(_MISMATCHED))
+@pytest.mark.parametrize("engine", ["ref", "fast"])
+def test_mismatched_batch_lengths_fail_the_run(mnemonic, engine):
+    with pytest.raises(ValueError):
+        _mismatched_machine(mnemonic, engine).run()
+
+
+@pytest.mark.parametrize("mnemonic", sorted(_MISMATCHED))
+def test_mismatched_batch_lengths_fail_lint(mnemonic):
+    with pytest.raises(AnalysisError, match=mnemonic):
+        lint_machine(_mismatched_machine(mnemonic))
