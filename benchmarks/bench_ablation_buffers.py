@@ -19,7 +19,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from common import bench_main, run_once, save_result
+from common import run_once, save_result
 
 from repro import BufferParams, Machine, intra_block_machine
 from repro.core.config import INTRA_BMI
@@ -95,7 +95,3 @@ def sweep():
 
 def test_buffer_size_ablation(benchmark):
     save_result("ablation_buffers", run_once(benchmark, sweep))
-
-
-if __name__ == "__main__":
-    raise SystemExit(bench_main("ablation_buffers", sweep))

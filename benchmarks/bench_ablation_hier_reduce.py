@@ -16,7 +16,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from common import bench_main, run_once, save_result
+from common import run_once, save_result
 
 from repro import Machine, inter_block_machine
 from repro.core.config import INTER_ADDR_L
@@ -55,7 +55,3 @@ def sweep():
 
 def test_hierarchical_reduction_ablation(benchmark):
     save_result("ablation_hier_reduce", run_once(benchmark, sweep))
-
-
-if __name__ == "__main__":
-    raise SystemExit(bench_main("ablation_hier_reduce", sweep))

@@ -12,7 +12,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from common import bench_main, run_once, save_result
+from common import run_once, save_result
 
 from repro.common.params import intra_block_machine
 from repro.core.config import INTRA_BASE, INTRA_BMI, INTRA_HCC
@@ -49,7 +49,3 @@ def sweep():
 
 def test_core_count_scaling(benchmark):
     save_result("ablation_scaling", run_once(benchmark, sweep))
-
-
-if __name__ == "__main__":
-    raise SystemExit(bench_main("ablation_scaling", sweep))

@@ -11,7 +11,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from common import INTRA_SCALE, bench_main, run_once, save_result
+from common import INTRA_SCALE, run_once, save_result
 
 from repro.core.config import INTRA_BMI, INTRA_HCC
 from repro.eval.parallel import sweep_matrix
@@ -37,7 +37,3 @@ def sweep():
 def test_fig10(benchmark):
     results = run_once(benchmark, sweep)
     save_result("fig10_traffic", render_fig10(results))
-
-
-if __name__ == "__main__":
-    raise SystemExit(bench_main("fig10_traffic", sweep))

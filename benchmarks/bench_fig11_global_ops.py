@@ -11,7 +11,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from common import INTER_SCALE, bench_main, run_once, save_result
+from common import INTER_SCALE, run_once, save_result
 
 from repro.core.config import INTER_ADDR, INTER_ADDR_L
 from repro.eval.parallel import sweep_matrix
@@ -45,7 +45,3 @@ def sweep():
 def test_fig11(benchmark):
     results = run_once(benchmark, sweep)
     save_result("fig11_global_ops", render_fig11(results))
-
-
-if __name__ == "__main__":
-    raise SystemExit(bench_main("fig11_global_ops", sweep))

@@ -11,7 +11,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from common import INTER_SCALE, bench_main, run_once, save_result
+from common import INTER_SCALE, run_once, save_result
 
 from repro.core.config import INTER_CONFIGS
 from repro.eval.parallel import sweep_matrix
@@ -41,7 +41,3 @@ def sweep():
 def test_fig12(benchmark):
     results = run_once(benchmark, sweep)
     save_result("fig12_inter_time", render_fig12(results))
-
-
-if __name__ == "__main__":
-    raise SystemExit(bench_main("fig12_inter_time", sweep))

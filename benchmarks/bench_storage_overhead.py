@@ -10,7 +10,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from common import bench_main, run_once, save_result
+from common import run_once, save_result
 
 from repro.common.params import inter_block_machine
 from repro.eval.report import render_storage, render_table3
@@ -34,7 +34,3 @@ def build():
 
 def test_storage_overhead(benchmark):
     save_result("storage_overhead", run_once(benchmark, build))
-
-
-if __name__ == "__main__":
-    raise SystemExit(bench_main("storage_overhead", build))

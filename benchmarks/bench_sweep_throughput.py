@@ -18,7 +18,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from common import bench_main, run_once, save_result
+from common import run_once, save_result
 
 from repro.common.params import intra_block_machine
 from repro.core.config import INTRA_BASE, INTRA_BM, INTRA_BMI, INTRA_HCC
@@ -94,7 +94,3 @@ def sweep():
 
 def test_sweep_throughput(benchmark):
     save_result("sweep_throughput", run_once(benchmark, sweep))
-
-
-if __name__ == "__main__":
-    raise SystemExit(bench_main("sweep_throughput", sweep))

@@ -10,7 +10,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from common import bench_main, run_once, save_result
+from common import run_once, save_result
 
 from repro import Machine, intra_block_machine
 from repro.core.config import INTRA_BASE
@@ -56,7 +56,3 @@ def build():
 
 def test_table1(benchmark):
     save_result("table1_patterns", run_once(benchmark, build))
-
-
-if __name__ == "__main__":
-    raise SystemExit(bench_main("table1_patterns", build))

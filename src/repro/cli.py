@@ -17,12 +17,9 @@ Usage (also via ``python -m repro``)::
     repro litmus --matrix --json            # model x kernel x engine grid
     repro chaos --plans 100 --seed 7        # seeded fault-injection sweep
     repro chaos --list-faults               # injectable fault catalog
-    repro bench fig9 --engine fast --repeat 3      # timed sweep -> BENCH json
-    repro bench fig9 --profile              # cProfile the sweep (top 25)
     repro serve --port 8787 --workers 8     # HTTP/JSON job server (SERVICE.md)
     repro serve --journal j/ --resume       # durable: WAL + crash recovery
-    repro serve --bench --jobs-count 120    # load-gen -> BENCH_serve.json
-    repro serve --bench --chaos-kill        # SIGKILL/corrupt/resume drill
+    repro serve --chaos-kill                # SIGKILL/corrupt/resume drill
     repro cache stats | verify | gc         # result-cache integrity tooling
 
 Engine selection: ``--engine NAME`` picks the registered simulator core —
@@ -41,8 +38,8 @@ timing, so the result cache keys on the effective model id.
 ``repro litmus --matrix`` is the conformance grid over every registered
 model.
 
-One job definition: ``fig9``–``fig12``, ``run``, ``trace`` and ``bench``
-build a ``sweep`` job (intra- or inter-block follows from its apps), and
+One job definition: ``fig9``–``fig12``, ``run`` and ``trace`` build a
+``sweep`` job (intra- or inter-block follows from its apps), and
 ``gen``, ``litmus``, ``chaos``, ``lint`` and ``fleet`` the job server's
 kinds of the same names.  Each turns its flags into that kind's spec
 dict, lowers it with :func:`repro.serve.jobs.compile_job` (the only place
@@ -52,7 +49,7 @@ the units locally with :func:`repro.serve.jobs.run_job`, and renders the
 result document.  ``--json`` prints that document exactly as the server
 returns it; the text output is rendered from it.  CLI-only extras
 (``run --staleness``, ``lint --fix``/``--dump-cfg``, the program digest
-and lint line of ``gen``, ``litmus --bench``) are thin additions on top.
+and lint line of ``gen``) are thin additions on top.
 
 Sweeps fan out over ``--jobs`` worker processes (default: CPU count) and
 reuse verified results from the persistent cache under
@@ -158,8 +155,8 @@ def _cmd_run(args) -> int:
 
 _PAPER_INTER_APPS = ["cg", "ep", "is", "jacobi"]
 
-#: Each paper figure's sweep — (apps, Table II configs, renderer) — shared
-#: by the figure commands and ``repro bench fig9|fig12``.
+#: Each paper figure's sweep — (apps, Table II configs, renderer) — run by
+#: the figure commands.
 _FIGURES = {
     "fig9": (
         sorted(MODEL_ONE), [c.name for c in INTRA_CONFIGS], rpt.render_fig9,
@@ -581,17 +578,12 @@ def _cmd_litmus(args) -> int:
     from repro.workloads.litmus import LITMUS
 
     if args.matrix:
-        from repro.eval import bench
-        from repro.models.matrix import matrix_bench_payload, render_matrix
+        from repro.models.matrix import render_matrix
 
-        spec = _spec(
+        doc, ex = _run("litmus", _spec(
             matrix=True, models=_names(args.models),
             engines=_names(args.engines), kernels=args.kernel or None,
-        )
-        (doc, ex), seconds = bench.measure(lambda: _run("litmus", spec, args))
-        if args.bench:
-            path = bench.write_bench_json(matrix_bench_payload(doc, seconds))
-            print(f"bench -> {path}", file=sys.stderr)
+        ), args)
         if args.out:
             pathlib.Path(args.out).write_text(
                 json.dumps(doc, indent=1, sort_keys=True)
@@ -677,74 +669,13 @@ def _cmd_chaos(args) -> int:
     return 0 if doc["clean"] else 1
 
 
-def _cmd_bench(args) -> int:
-    """Timed (or profiled) in-process sweep for the perf trajectory.
-
-    Runs the fig9 or fig12 sweep job serially in-process (``jobs=1``, no
-    result cache) so the wall-clock measures the simulator core and nothing
-    else, then archives median/p95 seconds to ``BENCH_<target>.json`` via
-    :mod:`repro.eval.bench`, with ``cpu_loops`` counting the cells of the
-    last run per CPU loop taken (``fused`` or ``reference: <reason>``).
-    ``--profile`` swaps the timing loop for one cProfile'd pass and prints
-    the top 25 functions by cumulative time.
-    """
-    from repro.eval import bench
-    from repro.eval.parallel import SweepExecutor
-    from repro.models import resolve_model
-    from repro.serve.jobs import run_job
-
-    apps, configs, _ = _FIGURES[args.target]
-    job = _compile("sweep", _spec(
-        apps=apps, configs=configs, scale=args.scale,
-        engine=args.engine, model=args.model,
-    ))
-
-    def sweep():
-        executor = SweepExecutor(jobs=1)
-        run_job(job, executor)
-        return executor.stats.cpu_loops
-
-    if args.profile:
-        import cProfile
-        import pstats
-
-        prof = cProfile.Profile()
-        prof.enable()
-        sweep()
-        prof.disable()
-        pstats.Stats(prof).sort_stats("cumulative").print_stats(25)
-        return 0
-
-    loops, seconds = bench.measure(
-        sweep, warmup=args.warmup, repeat=args.repeat
-    )
-    payload = bench.record(
-        args.target,
-        seconds,
-        engine=args.engine,
-        warmup=args.warmup,
-        extra={
-            "scale": args.scale,
-            "model": resolve_model(args.model).name,
-            "cpu_loops": loops,
-        },
-    )
-    path = bench.write_bench_json(payload, out=args.out)
-    print(
-        f"{args.target}: engine={payload['engine']} "
-        f"median={payload['median_s']:.3f}s p95={payload['p95_s']:.3f}s "
-        f"({args.repeat} run(s), warmup {args.warmup}) -> {path}"
-    )
-    return 0
-
-
 def _cmd_serve(args) -> int:
-    """Run the job server — or, with ``--bench``, the load generator."""
+    """Run the job server — or, with ``--chaos-kill``, the chaos drill."""
     from repro.common.rng import DEFAULT_SEED
-    from repro.serve import ServerConfig, WorkerFaultPlan, bench_serve
+    from repro.serve import ServerConfig, WorkerFaultPlan
     from repro.serve import server as serve_server
 
-    if args.bench and args.chaos_kill:
+    if args.chaos_kill:
         from repro.serve.drill import chaos_drill
 
         doc = chaos_drill(
@@ -755,7 +686,7 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             scale=args.scale,
             seed=DEFAULT_SEED if args.fault_seed is None else args.fault_seed,
-            out=args.out or "BENCH_chaos_drill.json",
+            out=args.out,
             work_dir=args.work_dir,
         )
         print(f"chaos drill: {doc['completed']}/{doc['jobs']} jobs done "
@@ -773,27 +704,6 @@ def _cmd_serve(args) -> int:
               f"failures {doc['failures']}  "
               f"-> {'OK' if doc['ok'] else 'FAILED'}")
         return 0 if doc["ok"] else 1
-    if args.bench:
-        doc = bench_serve(
-            jobs=args.jobs_count,
-            concurrency=args.concurrency,
-            workers=args.workers,
-            scale=args.scale,
-            out=args.out or "BENCH_serve.json",
-        )
-        cold, hot = doc["cold"], doc["hot"]
-        print(f"serve bench: {doc['jobs_per_pass']} jobs/pass x 2 passes, "
-              f"{doc['concurrency']} client(s), {doc['workers']} worker(s)")
-        print(f"  cold  p50 {cold['p50_ms']}ms  p99 {cold['p99_ms']}ms  "
-              f"hit-ratio {cold['hit_ratio']}  ({cold['jobs_per_s']} jobs/s)")
-        print(f"  hot   p50 {hot['p50_ms']}ms  p99 {hot['p99_ms']}ms  "
-              f"hit-ratio {hot['hit_ratio']}  ({hot['jobs_per_s']} jobs/s)")
-        print(f"  divergences {cold['divergences'] + hot['divergences']}  "
-              f"failures {cold['failures'] + hot['failures']}  "
-              f"hot/cold speedup {doc['speedup_hot_vs_cold']}x")
-        bad = (cold["divergences"] + hot["divergences"]
-               + cold["failures"] + hot["failures"])
-        return 0 if bad == 0 else 1
     faults = None
     if args.fault_rate:
         faults = WorkerFaultPlan(
@@ -1102,54 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", default=None,
         help="matrix: also write the grid JSON to PATH (the CI artifact)",
     )
-    p_lit.add_argument(
-        "--bench", action="store_true",
-        help="matrix: archive wall-clock + per-model exec medians to "
-        "BENCH_matrix.json at the repo root",
-    )
     p_lit.set_defaults(fn=_cmd_litmus)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="time (or profile) a paper sweep and archive BENCH_<name>.json",
-        description=(
-            "Run the fig9 (intra-block) or fig12 (inter-block) sweep job "
-            "serially in-process with the result cache disabled, so the "
-            "wall-clock measures the simulator core.  Without --profile, "
-            "archive per-run seconds plus median/p95, engine, and git rev "
-            "to BENCH_<target>.json at the repo root (the tracked perf "
-            "trajectory; see docs/PERFORMANCE.md).  With --profile, run "
-            "once under cProfile and print the top 25 functions by "
-            "cumulative time instead."
-        ),
-    )
-    p_bench.add_argument(
-        "target", nargs="?", choices=("fig9", "fig12"), default="fig9",
-        help="which paper sweep to time (default: fig9)",
-    )
-    _add_engine(p_bench, "simulator core (default: $REPRO_ENGINE or ref)")
-    _add_model(
-        p_bench, "memory model for the software-coherent cells "
-        "(default: $REPRO_MODEL or base)",
-    )
-    p_bench.add_argument("--scale", type=float, default=1.0)
-    p_bench.add_argument(
-        "--warmup", type=int, default=0,
-        help="untimed warmup runs before measuring (default: 0)",
-    )
-    p_bench.add_argument(
-        "--repeat", type=int, default=1,
-        help="timed runs; median/p95 are archived (default: 1)",
-    )
-    p_bench.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="JSON output path (default: BENCH_<target>.json at repo root)",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="cProfile one run and print the top 25 cumulative functions",
-    )
-    p_bench.set_defaults(fn=_cmd_bench)
 
     p_gen = sub.add_parser(
         "gen",
@@ -1268,7 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv = sub.add_parser(
         "serve",
         help="HTTP/JSON job server over the sweep engine (simulation "
-        "as a service); --bench runs the load generator",
+        "as a service); --chaos-kill runs the durability drill",
         description=(
             "Serve sweep/gen/litmus/chaos/lint/fleet jobs over HTTP: "
             "requests are validated against the versioned job schema, "
@@ -1277,11 +1140,9 @@ def build_parser() -> argparse.ArgumentParser:
             "number of clients simulate once.  Admission control: a "
             "per-client active-job quota and a global queue ceiling, both "
             "answered with HTTP 429.  SIGINT/SIGTERM drain gracefully.  "
-            "With --bench, instead run the load generator against an "
-            "in-process server (cold + hot pass), verify zero divergence "
-            "vs direct execution, and archive p50/p99 latency plus "
-            "cache-hit ratio to BENCH_serve.json.  API reference: "
-            "docs/SERVICE.md."
+            "With --chaos-kill, instead run the durability drill against "
+            "a journaled server subprocess (docs/RESILIENCE.md).  API "
+            "reference: docs/SERVICE.md."
         ),
     )
     p_srv.add_argument("--host", default="127.0.0.1",
@@ -1323,24 +1184,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="injected fault mode (default: crash)")
     p_srv.add_argument("--fault-seed", type=int, default=None,
                        help="fault-stream seed (default: the repo-wide seed)")
-    p_srv.add_argument("--bench", action="store_true",
-                       help="run the load-generator benchmark instead of "
-                       "serving")
-    p_srv.add_argument("--jobs-count", type=int, default=120, metavar="N",
-                       help="bench: submissions per pass (default: 120)")
-    p_srv.add_argument("--concurrency", type=int, default=24,
-                       help="bench: concurrent client threads (default: 24)")
-    p_srv.add_argument("--scale", type=float, default=0.3,
-                       help="bench: workload scale per cell (default: 0.3)")
-    p_srv.add_argument("--out", metavar="PATH", default=None,
-                       help="bench: JSON output path "
-                       "(default: BENCH_serve.json at repo root)")
     p_srv.add_argument("--chaos-kill", action="store_true",
-                       help="with --bench: run the durability chaos drill "
-                       "instead — SIGKILL a real server subprocess "
+                       help="run the durability chaos drill instead of "
+                       "serving: SIGKILL a real server subprocess "
                        "mid-flight, corrupt random cache files, resume "
                        "from the journal, and prove zero loss / zero "
-                       "divergence (-> BENCH_chaos_drill.json)")
+                       "divergence")
+    p_srv.add_argument("--jobs-count", type=int, default=120, metavar="N",
+                       help="chaos drill: jobs submitted (default: 120)")
+    p_srv.add_argument("--concurrency", type=int, default=24,
+                       help="chaos drill: concurrent client threads "
+                       "(default: 24)")
+    p_srv.add_argument("--scale", type=float, default=0.3,
+                       help="chaos drill: workload scale per cell "
+                       "(default: 0.3)")
+    p_srv.add_argument("--out", metavar="PATH",
+                       default="BENCH_chaos_drill.json",
+                       help="chaos drill: verdict JSON path "
+                       "(default: BENCH_chaos_drill.json)")
     p_srv.add_argument("--kills", type=int, default=3,
                        help="chaos drill: SIGKILL/restart cycles "
                        "(default: 3)")

@@ -267,25 +267,3 @@ def render_matrix(doc: dict, sweep: str = "") -> str:
     if sweep:
         lines.append(sweep)
     return "\n".join(lines)
-
-
-def matrix_bench_payload(
-    doc: dict, seconds: list[float], *, warmup: int = 0
-) -> dict:
-    """``BENCH_matrix.json`` payload: wall clock + per-model exec medians."""
-    from repro.eval.bench import record
-
-    return record(
-        "matrix",
-        seconds,
-        warmup=warmup,
-        extra={
-            "models": doc["models"],
-            "kernels": len(doc["kernels"]),
-            "engines": doc["engines"],
-            "cells": len(doc["models"]) * len(doc["kernels"])
-            * len(doc["engines"]),
-            "model_exec_medians": doc["model_exec_medians"],
-            "ok": doc["ok"],
-        },
-    )

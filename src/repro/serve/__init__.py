@@ -6,10 +6,11 @@ schema and lowers them to sweep-cell work units, :mod:`repro.serve.pool`
 runs those units on a bounded worker pool fronted by the shared result
 cache, :mod:`repro.serve.server` is the asyncio HTTP/JSON front end
 (lifecycle, streaming, quotas, graceful drain), and
-:mod:`repro.serve.loadgen` is the benchmark client behind
-``repro serve --bench``.  :mod:`repro.serve.journal` adds durability —
-a fsync'd write-ahead journal so ``--resume`` recovers interrupted jobs
-after a crash.  API reference: ``docs/SERVICE.md``; durability story:
+:mod:`repro.serve.loadgen` is the in-process server and resilient client
+that the tests, CI and ``perfbench``'s ``serve_mix`` drive.
+:mod:`repro.serve.journal` adds durability — a fsync'd write-ahead
+journal so ``--resume`` recovers interrupted jobs after a crash — and
+:mod:`repro.serve.drill` proves it (``repro serve --chaos-kill``).  API reference: ``docs/SERVICE.md``; durability story:
 ``docs/RESILIENCE.md``.
 """
 
@@ -31,7 +32,7 @@ from repro.serve.journal import (
     RecoveredJob,
     job_digest,
 )
-from repro.serve.loadgen import LocalServer, bench_serve
+from repro.serve.loadgen import LocalServer
 from repro.serve.pool import (
     UnitOutcome,
     WorkerCrash,
@@ -63,7 +64,6 @@ __all__ = [
     "WorkerCrash",
     "WorkerFaultPlan",
     "WorkerPool",
-    "bench_serve",
     "compile_job",
     "job_digest",
     "run",

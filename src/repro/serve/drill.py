@@ -1,8 +1,8 @@
 """Service-level chaos drill: SIGKILL + cache corruption, zero loss.
 
-``repro serve --bench --chaos-kill`` boots a **real** ``repro serve``
-subprocess (journal on, resume on), drives a full bench job set at it
-from concurrent :class:`~repro.serve.loadgen.ResilientClient` threads,
+``repro serve --chaos-kill`` boots a **real** ``repro serve``
+subprocess (journal on, resume on), drives a set of single-cell sweep
+jobs (:func:`~repro.serve.loadgen.bench_payloads`) at it from concurrent :class:`~repro.serve.loadgen.ResilientClient` threads,
 and — while those clients are mid-flight — repeatedly:
 
 1. ``SIGKILL``\\ s the server (no drain, no goodbye),
@@ -22,9 +22,12 @@ hide unread, and proves the durability contract end to end:
 - every corrupted cache file was *detected* — quarantined and then
   recomputed (healed on disk) — never silently served.
 
-The report is archived to ``BENCH_chaos_drill.json``.  Acceptance bar
-(ISSUE 9): >= 100 jobs across >= 3 kill/restart cycles, 100 % complete,
-0 divergences, 0 undetected corruptions.
+The report is written to the ``out`` path (``BENCH_chaos_drill.json`` by
+default), the repo's resilience record.  Acceptance bar: >= 100 jobs
+across >= 3 kill/restart cycles, 100 % complete, 0 divergences,
+0 undetected corruptions.  Inputs that would make that bar vacuous (no
+jobs, no clients, negative kill or corruption counts) are rejected with
+:class:`~repro.common.errors.ConfigError` before anything starts.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ import threading
 import time
 from pathlib import Path
 
+from repro.common.errors import ConfigError
 from repro.common.rng import DEFAULT_SEED, make_rng
-from repro.eval.bench import git_rev, write_bench_json
 from repro.eval.cache import payload_digest
 from repro.serve.loadgen import (
     EXHAUSTED,
@@ -52,6 +55,22 @@ from repro.serve.loadgen import (
 
 #: Corruption modes the drill cycles through (all must be detectable).
 CORRUPTION_MODES = ("truncate", "garbage", "bitflip")
+
+
+def git_rev() -> str:
+    """Short git revision of the checkout this package runs from."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else "unknown"
 
 
 def _src_root() -> str:
@@ -230,12 +249,24 @@ def chaos_drill(
     work_dir: str | None = None,
     job_timeout: float = 600.0,
 ) -> dict:
-    """Run the kill/corrupt/resume drill; return (and archive) the report.
+    """Run the kill/corrupt/resume drill; return the report, written to *out*.
 
     ``work_dir`` pins the scratch directory (CI uses this to upload the
     journal as an artifact); by default everything lives in a temp dir.
     ``corrupt`` counts cache files corrupted *per kill cycle*.
     """
+    # Each count, named by the ``repro serve`` flag that sets it.
+    for flag, value, least in (
+        ("--jobs-count", jobs, 1), ("--concurrency", concurrency, 1),
+        ("--workers", workers, 1), ("--kills", kills, 0),
+        ("--corrupt", corrupt, 0),
+    ):
+        if value < least:
+            raise ConfigError(
+                f"chaos drill: {flag} must be >= {least} (got {value})"
+            )
+    if not scale > 0:
+        raise ConfigError(f"chaos drill: --scale must be > 0 (got {scale})")
     if work_dir is not None:
         Path(work_dir).mkdir(parents=True, exist_ok=True)
         return _drill(jobs, kills, corrupt, concurrency, workers, scale,
@@ -427,5 +458,5 @@ def _drill(
         ),
     }
     if out:
-        write_bench_json(doc, None if out == "BENCH_chaos_drill.json" else out)
+        Path(out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return doc

@@ -1,48 +1,42 @@
-"""Load generator for the job server (``repro serve --bench``).
+"""In-process job server and resilient client for the serve harnesses.
 
-Drives an in-process :class:`~repro.serve.server.JobServer` (running on a
+:class:`LocalServer` runs a :class:`~repro.serve.server.JobServer` on a
 background thread, so the client side is plain blocking ``http.client``
-like any external consumer) with hundreds of concurrent job submissions,
-polls every job to completion, and verifies **zero result divergence**:
-each served sweep result must be bit-identical to running the same cells
-directly through a local :class:`~repro.eval.parallel.SweepExecutor`.
+like any external consumer.  The tests, CI's serve smoke and the
+``serve_mix`` workload of ``perfbench/`` drive it this way.
 
-Two passes are measured: a **cold** pass against an empty result cache
-(every cell simulates) and a **hot** pass resubmitting the identical job
-set (every cell should be a cache hit).  Per-job wall-clock latencies are
-summarised as p50/p99 (:func:`repro.eval.bench.percentile`) and written
-with the cache-hit ratio to ``BENCH_serve.json`` — the serving-layer
-companion to ``BENCH_fast_engine.json`` and ``BENCH_sweep_cache.json``.
-
-Client resilience (:class:`ResilientClient`): quota/backpressure 429s,
-drain 503s, and connection resets are retried with capped exponential
-backoff and seeded jitter instead of treated as fatal.  Retrying a
-submission is safe because the server dedupes resubmissions by canonical
-job digest (:func:`repro.serve.journal.job_digest`); retries burned are
-counted into the bench report.  The chaos drill
+:class:`ResilientClient` rides out quota/backpressure 429s, drain 503s
+and connection resets with capped exponential backoff and seeded jitter
+instead of treating them as fatal.  Retrying a submission is safe because
+the server dedupes resubmissions by canonical job digest
+(:func:`repro.serve.journal.job_digest`).  The chaos drill
 (:mod:`repro.serve.drill`) builds on this client to survive servers
 that are being SIGKILLed underneath it.
+
+:func:`bench_payloads` is the drill's job set: single-cell sweeps cycling
+app x config x threads.  :func:`_direct_results` is its ground truth: the
+same cells run directly on a local
+:class:`~repro.eval.parallel.SweepExecutor`, with no server, so every
+served result can be compared bit-for-bit.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.rng import DEFAULT_SEED, make_rng
 from repro.core.config import intra_config
-from repro.eval.bench import git_rev, percentile, write_bench_json
 from repro.eval.cache import ResultCache
 from repro.eval.parallel import SweepCell, SweepExecutor
 from repro.serve.jobs import JOB_SCHEMA
 from repro.serve.server import JobServer, ServerConfig
 
-#: Small/fast Model-1 workloads the bench cycles through (distinct
-#: (app, config, num_threads) triples so the cold pass really simulates).
+#: Small/fast Model-1 workloads the drill's job set cycles through
+#: (distinct (app, config, num_threads) triples, so each one simulates).
 BENCH_APPS = ("fft", "lu_cont", "volrend", "water_nsq")
 BENCH_CONFIGS = ("Base", "B+M", "B+M+I")
 
@@ -58,7 +52,7 @@ EXHAUSTED = 599
 class LocalServer:
     """A JobServer running its own event loop on a daemon thread.
 
-    The canonical harness for tests and the load generator: start it,
+    The canonical harness for tests, CI and ``perfbench``: start it,
     speak real HTTP to ``host:port`` from any number of client threads,
     then :meth:`close` to drain and join.
     """
@@ -185,7 +179,7 @@ class ResilientClient:
     Safe by construction: the server dedupes resubmissions by canonical
     job digest, so replaying a ``POST /v1/jobs`` whose response was lost
     lands on the already-admitted job instead of double-running it.
-    ``retries`` counts every backoff taken (surfaced in bench reports).
+    ``retries`` counts every backoff taken (surfaced in drill reports).
     """
 
     def __init__(
@@ -300,7 +294,7 @@ def bench_payloads(jobs: int, *, scale: float) -> list[dict]:
 
 
 def _direct_results(payloads: list[dict], cache_dir: str) -> dict[str, dict]:
-    """Ground truth: run every distinct bench cell directly, no server."""
+    """Ground truth: run every distinct payload cell directly, no server."""
     seen: dict[str, SweepCell] = {}
     for p in payloads:
         spec = p["spec"]
@@ -314,150 +308,3 @@ def _direct_results(payloads: list[dict], cache_dir: str) -> dict[str, dict]:
     ex = SweepExecutor(jobs=1, cache=ResultCache(cache_dir))
     results = ex.run_cells([seen[k] for k in keys])
     return {k: r.to_dict() for k, r in zip(keys, results)}
-
-
-@dataclass
-class _PassStats:
-    """One measured pass: per-job latencies plus aggregate cache counters."""
-
-    latencies: list[float] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    failures: int = 0
-    divergences: int = 0
-    retries: int = 0
-    seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        lat = sorted(self.latencies)
-        total = self.cache_hits + self.cache_misses
-        return {
-            "jobs": len(self.latencies),
-            "seconds": round(self.seconds, 3),
-            "jobs_per_s": round(len(self.latencies) / self.seconds, 1)
-            if self.seconds else None,
-            "p50_ms": round(percentile(lat, 50) * 1000, 2) if lat else None,
-            "p99_ms": round(percentile(lat, 99) * 1000, 2) if lat else None,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_ratio": round(self.cache_hits / total, 4) if total else None,
-            "failures": self.failures,
-            "divergences": self.divergences,
-            "retries": self.retries,
-        }
-
-
-def _run_pass(
-    srv: LocalServer, payloads: list[dict], truth: dict[str, dict],
-    *, concurrency: int,
-) -> _PassStats:
-    """Submit every payload from *concurrency* client threads; verify all.
-
-    Each thread drives its own :class:`ResilientClient`: 429s (quota,
-    backpressure) and 503s back off with seeded jitter instead of
-    spin-resubmitting, and the retries burned are rolled up into the
-    pass report.
-    """
-    stats = _PassStats()
-    lock = threading.Lock()
-    work = list(payloads)
-    t0 = time.perf_counter()
-
-    def one(client: ResilientClient, payload: dict) -> None:
-        t = time.perf_counter()
-        status, doc = client.request(
-            "POST", "/v1/jobs", payload, client=payload["client"]
-        )
-        if status != 200:
-            with lock:
-                stats.failures += 1
-            return
-        final = client.wait(doc["id"])
-        latency = time.perf_counter() - t
-        spec = payload["spec"]
-        app, cfg = spec["apps"][0], spec["configs"][0]
-        key = f"{app}/{cfg}/t{spec['num_threads']}"
-        served = (
-            (final or {}).get("result", {}).get("matrix", {})
-            .get(app, {}).get(cfg)
-        )
-        with lock:
-            stats.latencies.append(latency)
-            if final is None or final["state"] != "done":
-                stats.failures += 1
-            elif served != truth[key]:
-                stats.divergences += 1
-            if final is not None:
-                stats.cache_hits += final["cache_hits"]
-                stats.cache_misses += final["cache_misses"]
-
-    def drain(idx: int) -> None:
-        client = ResilientClient(
-            srv.config.host, srv.port,
-            policy=RetryPolicy(attempts=12), stream=f"pass-{idx}",
-        )
-        while True:
-            with lock:
-                if not work:
-                    break
-                payload = work.pop()
-            one(client, payload)
-        with lock:
-            stats.retries += client.retries
-
-    threads = [
-        threading.Thread(target=drain, args=(i,), name=f"bench-client-{i}")
-        for i in range(concurrency)
-    ]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    stats.seconds = time.perf_counter() - t0
-    return stats
-
-
-def bench_serve(
-    *,
-    jobs: int = 120,
-    concurrency: int = 24,
-    workers: int = 8,
-    scale: float = 0.3,
-    out: str | None = "BENCH_serve.json",
-) -> dict:
-    """Run the cold+hot serving benchmark; optionally write ``out``.
-
-    Returns the benchmark document.  ``jobs`` counts submissions per pass
-    (ISSUE 8's acceptance bar is >= 100), ``concurrency`` the client
-    threads driving them, ``workers`` the server pool width.
-    """
-    payloads = bench_payloads(jobs, scale=scale)
-    with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
-        truth = _direct_results(payloads, f"{tmp}/truth-cache")
-        config = ServerConfig(
-            workers=workers,
-            quota=64,
-            queue_limit=4096,
-            cache_dir=f"{tmp}/serve-cache",
-        )
-        with LocalServer(config) as srv:
-            cold = _run_pass(srv, payloads, truth, concurrency=concurrency)
-            hot = _run_pass(srv, payloads, truth, concurrency=concurrency)
-            status, metrics = srv.request("GET", "/v1/metrics")
-    doc = {
-        "name": "serve",
-        "git_rev": git_rev(),
-        "jobs_per_pass": jobs,
-        "concurrency": concurrency,
-        "workers": workers,
-        "scale": scale,
-        "distinct_cells": len(truth),
-        "cold": cold.to_dict(),
-        "hot": hot.to_dict(),
-        "server_units_run": metrics.get("units_run") if status == 200 else None,
-        "speedup_hot_vs_cold": round(cold.seconds / hot.seconds, 2)
-        if hot.seconds else None,
-    }
-    if out:
-        write_bench_json(doc, None if out == "BENCH_serve.json" else out)
-    return doc

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.params import intra_block_machine
-from repro.core.config import INTRA_BMI, INTRA_HCC
+from repro.core.config import INTER_CONFIGS, INTRA_BMI, INTRA_HCC
 from repro.eval.cache import ResultCache
 from repro.eval.parallel import (
     SweepCell,
@@ -119,3 +119,32 @@ class TestSweepWrappers:
             "inter", ["ep"], configs, SweepExecutor(jobs=2), **kw
         )
         assert flatten(serial) == flatten(parallel)
+
+
+class TestCpuLoops:
+    """``SweepStats.cpu_loops`` counts simulated cells per CPU loop taken.
+
+    A vacuity guard: ``fast`` must really take the fused loop through the
+    job path, or a ref-vs-fast comparison compares ``ref`` with itself.
+    """
+
+    @staticmethod
+    def fig12_loops(**spec):
+        from repro.serve.jobs import compile_job, run_job
+
+        job = compile_job({"kind": "sweep", "spec": {
+            "apps": ["cg", "ep", "is", "jacobi"],
+            "configs": [c.name for c in INTER_CONFIGS],
+            "scale": 0.1, **spec,
+        }})
+        executor = SweepExecutor(jobs=1)
+        run_job(job, executor)
+        return executor.stats.cpu_loops
+
+    def test_empty_env_takes_the_reference_loop(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "")
+        monkeypatch.setenv("REPRO_MODEL", "")
+        assert self.fig12_loops() == {"reference": 16}  # 4 apps x 4 configs
+
+    def test_fast_engine_takes_the_fused_loop(self):
+        assert self.fig12_loops(engine="fast", model="sisd") == {"fused": 16}

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro.core.config import intra_config
 from repro.eval.parallel import SweepCell, SweepExecutor
 from repro.serve import LocalServer, ServerConfig
@@ -139,6 +141,28 @@ class TestSigkillResume:
         assert doc["corrupt_undetected"] == 0
         assert doc["corrupted_files"] == doc["corrupt_healed"] + \
             doc["corrupt_quarantined"]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--jobs-count", "0"), ("--concurrency", "0"), ("--workers", "0"),
+        ("--kills", "-2"), ("--corrupt", "-1"), ("--scale", "0"),
+        ("--scale", "-0.5"),
+    ])
+    def test_out_of_range_drill_input_is_a_usage_error(
+        self, tmp_path, capsys, flag, value
+    ):
+        """A drill that would check nothing exits 2 naming the flag.
+
+        Validation runs before any server or client starts.
+        """
+        from repro.cli import main
+
+        code = main([
+            "serve", "--chaos-kill", "--work-dir", str(tmp_path),
+            "--out", str(tmp_path / "verdict.json"), flag, value,
+        ])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "verdict.json").exists()
 
 
 class TestGracefulDrainRecovery:
