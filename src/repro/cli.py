@@ -669,25 +669,42 @@ def _cmd_chaos(args) -> int:
     return 0 if doc["clean"] else 1
 
 
+#: ``repro serve`` flags that only configure the chaos drill:
+#: (flag, argparse dest, ``chaos_drill`` parameter).
+_DRILL_FLAGS = (
+    ("--jobs-count", "jobs_count", "jobs"),
+    ("--kills", "kills", "kills"),
+    ("--corrupt", "corrupt", "corrupt"),
+    ("--concurrency", "concurrency", "concurrency"),
+    ("--scale", "scale", "scale"),
+    ("--out", "out", "out"),
+    ("--work-dir", "work_dir", "work_dir"),
+)
+
+
 def _cmd_serve(args) -> int:
     """Run the job server — or, with ``--chaos-kill``, the chaos drill."""
+    from repro.common.errors import ConfigError
     from repro.common.rng import DEFAULT_SEED
     from repro.serve import ServerConfig, WorkerFaultPlan
     from repro.serve import server as serve_server
 
+    # The drill flags given; an unset one leaves chaos_drill's own
+    # default, the one place the drill's defaults are stated.
+    given = [
+        (flag, param, getattr(args, dest))
+        for flag, dest, param in _DRILL_FLAGS
+        if getattr(args, dest) is not None
+    ]
     if args.chaos_kill:
         from repro.serve.drill import chaos_drill
 
+        drill = {param: value for _, param, value in given}
+        if args.workers is not None:
+            drill["workers"] = args.workers
         doc = chaos_drill(
-            jobs=args.jobs_count,
-            kills=args.kills,
-            corrupt=args.corrupt,
-            concurrency=args.concurrency,
-            workers=args.workers,
-            scale=args.scale,
             seed=DEFAULT_SEED if args.fault_seed is None else args.fault_seed,
-            out=args.out,
-            work_dir=args.work_dir,
+            **drill,
         )
         print(f"chaos drill: {doc['completed']}/{doc['jobs']} jobs done "
               f"across {doc['kills']} SIGKILL/restart cycle(s) "
@@ -704,6 +721,8 @@ def _cmd_serve(args) -> int:
               f"failures {doc['failures']}  "
               f"-> {'OK' if doc['ok'] else 'FAILED'}")
         return 0 if doc["ok"] else 1
+    if given:
+        raise ConfigError(f"{given[0][0]} only applies with --chaos-kill")
     faults = None
     if args.fault_rate:
         faults = WorkerFaultPlan(
@@ -714,7 +733,7 @@ def _cmd_serve(args) -> int:
     config = ServerConfig(
         host=args.host,
         port=args.port,
-        workers=args.workers,
+        workers=ServerConfig.workers if args.workers is None else args.workers,
         quota=args.quota,
         queue_limit=args.queue_limit,
         timeout=args.timeout,
@@ -1150,8 +1169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8787,
                        help="TCP port; 0 picks an ephemeral port "
                        "(default: 8787)")
-    p_srv.add_argument("--workers", type=int, default=4,
-                       help="worker pool width (default: 4)")
+    p_srv.add_argument("--workers", type=int, default=None,
+                       help="worker pool width (default: 4; chaos drill: "
+                       "its server's width, default: 8)")
     p_srv.add_argument("--quota", type=int, default=8,
                        help="max active jobs per client (default: 8)")
     p_srv.add_argument("--queue-limit", type=int, default=512,
@@ -1190,22 +1210,22 @@ def build_parser() -> argparse.ArgumentParser:
                        "mid-flight, corrupt random cache files, resume "
                        "from the journal, and prove zero loss / zero "
                        "divergence")
-    p_srv.add_argument("--jobs-count", type=int, default=120, metavar="N",
+    # The drill flags default to None: chaos_drill states the defaults.
+    p_srv.add_argument("--jobs-count", type=int, default=None, metavar="N",
                        help="chaos drill: jobs submitted (default: 120)")
-    p_srv.add_argument("--concurrency", type=int, default=24,
+    p_srv.add_argument("--concurrency", type=int, default=None,
                        help="chaos drill: concurrent client threads "
-                       "(default: 24)")
-    p_srv.add_argument("--scale", type=float, default=0.3,
+                       "(default: 16)")
+    p_srv.add_argument("--scale", type=float, default=None,
                        help="chaos drill: workload scale per cell "
                        "(default: 0.3)")
-    p_srv.add_argument("--out", metavar="PATH",
-                       default="BENCH_chaos_drill.json",
+    p_srv.add_argument("--out", metavar="PATH", default=None,
                        help="chaos drill: verdict JSON path "
                        "(default: BENCH_chaos_drill.json)")
-    p_srv.add_argument("--kills", type=int, default=3,
+    p_srv.add_argument("--kills", type=int, default=None,
                        help="chaos drill: SIGKILL/restart cycles "
                        "(default: 3)")
-    p_srv.add_argument("--corrupt", type=int, default=6, metavar="N",
+    p_srv.add_argument("--corrupt", type=int, default=None, metavar="N",
                        help="chaos drill: cache files corrupted per cycle "
                        "(default: 6)")
     p_srv.add_argument("--work-dir", default=None, metavar="DIR",

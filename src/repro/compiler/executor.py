@@ -19,18 +19,16 @@ reuse its conflict map in later outer iterations.
 
 A :class:`~repro.compiler.ir.ParallelFor` body is planned once per
 program: every affine or fixed ref becomes an *address plan*, a (base byte
-address, byte stride) pair — stride 0 for ``Fixed`` — that
+address, byte stride) pair — stride 0 for ``Fixed``, and the index array's
+position for an ``Indirect`` ref — that
 :class:`~repro.compiler.ir.IRProgram` range-checked over the whole
 iteration space, so no access is checked again.  Each execution of a
-thread's chunk turns the plans into address ranges, and an iteration issues
-one load op per maximal run of reads whose addresses are already known: a
-plain ``Read`` for a run of one, else a ``ReadBatch``.  An ``Indirect``
-ref splits the runs, because its data address depends on a loaded value:
-the index-array read closes the current run, and the dependent data read
-(checked against its array's size) opens the next.  CG's spmv row thus
-takes 9 load ops instead of 24 scalar reads, and Jacobi's stencil 1
-instead of 4.  Serial-section ranges, a reduction's local input chunk and
-its result/counter update are likewise one ``ReadBatch`` or
+thread's chunk turns the plans into address sequences and issues the
+whole chunk as one :class:`~repro.isa.ops.MapBatch`: per iteration, each
+assignment's reads (an ``Indirect`` ref as a gather, whose data read is
+checked against its array's size), its computed store, and the loop's
+compute delay.  Serial-section ranges, a reduction's local input chunk
+and its result/counter update are likewise one ``ReadBatch`` or
 ``WriteBatch`` each.  Batch ops are defined as their exact scalar
 sequences (:mod:`repro.isa.ops`), so every access, its order, value and
 cycle are those of one scalar op per word.
@@ -38,7 +36,6 @@ cycle are those of one scalar op per word.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Any
 
 from repro.compiler import ir
@@ -238,29 +235,22 @@ class ModelTwoRunner:
     def _plan_assign(self, assign: ir.Assign):
         """Address plans for one body assignment, built once per program.
 
-        Returns ``(fn, write plan, runs)``.  A plan is the (base byte
-        address, byte stride) pair of an affine or fixed ref; the reads
-        split into runs of addresses known before they issue, each run
-        ``(plans, gather, indexed)``: ``gather`` (a data array or None)
-        prepends the dependent read of the indirect ref whose index the
-        previous run loaded, and ``indexed`` says the run ends with an
-        index read.
+        Returns ``(fn, read plans, write plan)``.  A plan is the (base
+        byte address, byte stride) of the affine or fixed position a ref
+        accesses at each iteration; a read plan adds ``addr_of``: None,
+        or for an indirect ref (whose plan reads its index array) the
+        data array's checked ``addr``.
         """
-        runs = []
-        plans: list[tuple[int, int]] = []
-        gather = None
+        reads = []
         for ref in assign.rhs:
             idx = ref.index
             if isinstance(idx, ir.Indirect):
-                plans.append(self._addr_plan(idx.index_array, idx))
-                runs.append((plans, gather, True))
-                plans = []
-                gather = self.arrays[ref.array]
+                base, stride = self._addr_plan(idx.index_array, idx)
+                reads.append((base, stride, self.arrays[ref.array].addr))
             else:
-                plans.append(self._addr_plan(ref.array, idx))
-        if plans or gather is not None:
-            runs.append((plans, gather, False))
-        return assign.fn, self._addr_plan(assign.lhs.array, assign.lhs.index), runs
+                reads.append((*self._addr_plan(ref.array, idx), None))
+        return (assign.fn, reads,
+                self._addr_plan(assign.lhs.array, assign.lhs.index))
 
     def _addr_plan(self, array: str, index: ir.Index) -> tuple[int, int]:
         """(base, stride) in bytes of the position *index* reads in *array*."""
@@ -273,33 +263,22 @@ class ModelTwoRunner:
         yield from self._emit_invs(ctx, sid)
         yield from self._irregular_invs(ctx, stmt, sid)
 
+        # The whole chunk is one MapBatch.  ``IRProgram`` range-checked
+        # every plan over the whole iteration space, so no address is
+        # checked again (a gather's data read is, by its ``addr_of``).
         lo, hi = chunk_bounds(stmt.length, self.n, ctx.tid)
-        body = [_lower(plan, lo, hi) for plan in self._bodies[id(stmt)]]
-        compute = stmt.compute_cycles
-        Read, ReadBatch, Write = isa.Read, isa.ReadBatch, isa.Write
-        for i in range(lo, hi):
-            for fn, waddrs, loads, many, runs in body:
-                if loads is not None:
-                    got = yield next(loads)
-                    out = fn(i, *got) if many else fn(i, got)
-                else:
-                    vals = []
-                    raw = None
-                    for known, gather, indexed in runs:
-                        addrs = next(known)
-                        if gather is not None:
-                            addrs = (gather.addr(int(raw)), *addrs)
-                        if len(addrs) == 1:
-                            got = [(yield Read(addrs[0]))]
-                        else:
-                            got = yield ReadBatch(addrs)
-                        if indexed:
-                            raw = got.pop()
-                        vals += got
-                    out = fn(i, *vals)
-                yield Write(next(waddrs), out)
-            if compute:
-                yield isa.Compute(compute)
+
+        def span(base, stride, addr_of=None):
+            if stride:
+                seq = range(base + stride * lo, base + stride * hi, stride)
+            else:
+                seq = (base,) * (hi - lo)
+            return seq if addr_of is None else isa.Gather(seq, addr_of)
+
+        yield isa.MapBatch(lo, hi, tuple(
+            (fn, tuple(span(*p) for p in reads), span(*write))
+            for fn, reads, write in self._bodies[id(stmt)]
+        ), stmt.compute_cycles)
 
         yield from self._epoch_close(ctx, sid)
 
@@ -474,43 +453,6 @@ class ModelTwoRunner:
         yield isa.Barrier(0, self.n)
         if self.mode == InterMode.BASE:
             yield isa.INVAllL2()
-
-
-def _addrs(plan: tuple[int, int], lo: int, hi: int):
-    """The addresses an address plan reads over iterations [lo, hi).
-
-    ``IRProgram`` range-checked the whole iteration space, so none is
-    checked again.
-    """
-    base, stride = plan
-    if stride:
-        return range(base + stride * lo, base + stride * hi, stride)
-    return repeat(base, hi - lo)
-
-
-def _lower(assign_plan, lo: int, hi: int):
-    """Lower one planned assignment over the chunk [lo, hi).
-
-    Returns ``(fn, write addresses, loads, many, runs)``.  With no
-    indirect ref the reads are one run, and ``loads`` yields its op per
-    iteration: a ``Read`` for one address, else (``many``) a
-    ``ReadBatch``.  Otherwise ``loads`` is None and each run is
-    ``(known, gather, indexed)`` as planned, ``known`` yielding the tuple
-    of addresses known before the run's op issues.
-    """
-    fn, wplan, runs = assign_plan
-    waddrs = iter(_addrs(wplan, lo, hi))
-    if len(runs) == 1 and runs[0][1] is None and not runs[0][2]:
-        # No indirect ref: one run, every address known up front.
-        seqs = [_addrs(p, lo, hi) for p in runs[0][0]]
-        if len(seqs) == 1:
-            return fn, waddrs, map(isa.Read, seqs[0]), False, None
-        return fn, waddrs, map(isa.ReadBatch, zip(*seqs)), True, None
-    return fn, waddrs, None, False, [
-        (zip(*[_addrs(p, lo, hi) for p in plans]) if plans
-         else repeat((), hi - lo), gather, indexed)
-        for plans, gather, indexed in runs
-    ]
 
 
 def _load(addrs):

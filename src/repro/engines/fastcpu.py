@@ -11,9 +11,10 @@ float math:
   precomputed constant,
 * loads/stores/hits/stall counters accumulate in locals and flush to
   :class:`~repro.sim.stats.CoreStats` at scheduling boundaries,
-* ``ReadBatch``/``WriteBatch`` run their whole word sequence inline in
-  one dispatch; the rarer batch kinds run their ``expand()`` sequence
-  through the scalar arms.
+* every batch macro-op runs inline in one dispatch: ``ReadBatch`` and
+  ``WriteBatch`` their word runs, ``MapBatch`` a whole loop chunk (each
+  iteration's reads, gathers, computed stores and compute delay), every
+  word on the same hit/fill/delegate rules as the scalar arms.
 
 The same loop serves directory MESI, the incoherent hierarchy, and every
 memory model built on it (:mod:`repro.models`).  Each protocol states its
@@ -121,7 +122,7 @@ class FastCPU(CPU):
         stats = self.stats
         stalls = stats.stalls
         rest = StallCat.REST
-        program_send = advance = self.program.send
+        program_send = self.program.send
         core_id = self.core_id
         faults = self.machine.faults
         hier = proto.hier
@@ -143,7 +144,9 @@ class FastCPU(CPU):
         proto_read = proto.read
         proto_write = proto.write
         Read, Write, Compute = isa.Read, isa.Write, isa.Compute
-        ReadBatch, WriteBatch = isa.ReadBatch, isa.WriteBatch
+        ReadBatch, WriteBatch, MapBatch = (
+            isa.ReadBatch, isa.WriteBatch, isa.MapBatch
+        )
 
         acc = 0          # this step's total simulated cycles
         rest_cyc = 0     # portion attributed to StallCat.REST
@@ -205,12 +208,8 @@ class FastCPU(CPU):
 
         while True:
             try:
-                op = advance(send)
-            except StopIteration as stop:
-                if advance is not program_send:  # a batch expansion ended
-                    send = stop.value
-                    advance = program_send
-                    continue
+                op = program_send(send)
+            except StopIteration:
                 l1._stamp = stamp
                 stats.loads += loads
                 stats.stores += stores
@@ -398,10 +397,102 @@ class FastCPU(CPU):
                         stamp = l1._stamp
                     rest_cyc += lat
                     acc += lat
-            elif isinstance(op, isa.BATCH_OPS):
-                # The rarer batch kinds run their defining scalar sequence
-                # through the arms above; the program gets its return value.
-                advance = op.expand().send
+            elif kind is MapBatch:
+                # The whole chunk inline: each read and store takes the
+                # same per-word path as in the ReadBatch/WriteBatch arms.
+                # Every word and the compute delay charge REST, so the
+                # chunk's cycles add up in ``cyc``; L1 hits are counted,
+                # and charged from the count when the chunk ends.
+                rows, steps = op.plan()
+                hits_before = hits
+                cyc = 0
+                for row in rows:
+                    k = 1
+                    for fn, srcs in steps:
+                        values = []
+                        append = values.append
+                        for addr_of in srcs:
+                            if addr_of is None:
+                                addr = row[k]
+                                k += 1
+                            else:
+                                addr = addr_of(int(values.pop()))
+                            la = addr >> line_shift
+                            slot = index_get(la)
+                            if admit is not None and not admit(la):
+                                pass
+                            elif slot is not None:
+                                word = (addr & off_mask) >> 2
+                                line = lines_arr[slot]
+                                if (
+                                    not armed
+                                    or ieb._mask >> la & 1
+                                    or line.dirty_mask >> word & 1
+                                ) and (fresh is None or fresh(la, line, word)):
+                                    stamp += 1
+                                    stamps[slot] = stamp
+                                    hits += 1
+                                    append(line.data[word])
+                                    continue
+                            elif fill and (not armed or ieb._mask >> la & 1):
+                                line = l2_fetch(la)
+                                if line is not None:
+                                    cyc += l2_lat_row[la % cpb]
+                                    append(line.data[(addr & off_mask) >> 2])
+                                    continue
+                            l1._stamp = stamp
+                            lat, value = proto_read(core_id, addr)
+                            stamp = l1._stamp
+                            cyc += lat
+                            append(value)
+                        value = fn(row[0], *values)
+                        addr = row[k]
+                        k += 1
+                        la = addr >> line_shift
+                        slot = index_get(la)
+                        if admit is not None and not admit(la):
+                            line = None
+                        elif (
+                            slot is not None
+                            and (line := lines_arr[slot]).state is wstate
+                        ):
+                            stamp += 1
+                            stamps[slot] = stamp
+                            word = (addr & off_mask) >> 2
+                            line.data[word] = value
+                            bit = 1 << word
+                            dm = line.dirty_mask
+                            if not dm & bit:
+                                line.dirty_mask = dm | bit
+                                if meb_record is not None:
+                                    meb_record(la)
+                            if on_write is not None:
+                                on_write(la)
+                            hits += 1
+                            continue
+                        elif slot is None and fill:
+                            line = l2_fetch(la)
+                        else:
+                            line = None
+                        if line is not None:
+                            word = (addr & off_mask) >> 2
+                            line.data[word] = value
+                            line.dirty_mask = 1 << word
+                            if meb_record is not None:
+                                meb_record(la)
+                            if on_write is not None:
+                                on_write(la)
+                            cyc += ov(l2_lat_row[la % cpb])
+                        else:
+                            l1._stamp = stamp
+                            cyc += proto_write(core_id, addr, value)
+                            stamp = l1._stamp
+                n = op.hi - op.lo
+                loads += n * sum(len(srcs) for _, srcs in steps)
+                stores += n * len(steps)
+                cyc += (hits - hits_before) * hit_lat + n * int(op.compute)
+                rest_cyc += cyc
+                acc += cyc
             elif isinstance(op, isa.SYNC_OPS):
                 l1._stamp = stamp
                 stats.loads += loads

@@ -4,7 +4,8 @@ Thread programs are Python generators that *yield* these operations; the core
 model executes each against the memory hierarchy and sends the result (for a
 ``Read``) back into the generator.  The vocabulary covers:
 
-* plain memory accesses and compute delay,
+* plain memory accesses and compute delay, and their batched macro-ops
+  (runs of loads or stores, and whole loop chunks),
 * every WB/INV flavor of Sections III-B and V (address range, ALL,
   level-adaptive ``WB_CONS``/``INV_PROD``, and explicit-level ``WB_L3`` /
   ``INV_L2``),
@@ -76,15 +77,18 @@ class Compute(Op):
 # generator: it yields the op's defining scalar ``Read``/``Write``
 # sequence in order, receives each read's value, and returns what the
 # program gets back (the value list for ``ReadBatch``, ``None`` otherwise).
-# The reference core and the analyzer run that expansion as is, and the
-# fast engine's fused loop runs it through its scalar arms, keeping inline
-# copies only for ``ReadBatch``/``WriteBatch``.  Every engine therefore
-# charges latency, updates cache state, and counts statistics word by word
-# exactly as the scalar sequence would.  Batches exist so a hot loop can
-# hand the core a whole run of accesses in one generator round-trip instead
-# of one ``yield`` per word; the scalar and batched forms of a program are
-# bit-identical in stats and final memory.  Paired sequences of unequal
-# length raise ``ValueError`` when the shorter one runs out.
+# The reference core and the analyzer run that expansion as is; the fast
+# engine's fused loop runs each batch kind inline, with the same per-word
+# rules as its scalar arms.  Every engine therefore charges latency,
+# updates cache state, and counts statistics word by word exactly as the
+# scalar sequence would.  Batches exist so a hot loop can hand the core a
+# whole run of accesses in one generator round-trip instead of one
+# ``yield`` per word: ``ReadBatch``/``WriteBatch`` a run of loads or
+# stores, ``MapBatch`` a whole chunk of loop iterations (reads, computed
+# store and compute delay per iteration).  The scalar and batched forms
+# of a program are bit-identical in stats and final memory.  Paired
+# sequences of unequal length raise ``ValueError`` when the shorter one
+# runs out.
 
 
 class ReadBatch(Op):
@@ -124,43 +128,86 @@ class WriteBatch(Op):
             yield Write(addr, value)
 
 
-class CopyBatch(Op):
-    """Interleaved copy: ``v = Read(src[k]); Write(dst[k], v)`` per k.
+class Gather:
+    """A dependent read in a :class:`MapBatch` body.
 
-    The value flows inside the core (the program never observes it), which
-    is what makes a scatter/gather permutation batchable at all: the
-    per-word read→write interleaving of the scalar loop is preserved.
+    Per iteration it loads the index word at the next of *index_addrs*,
+    then the word at ``addr_of(int(index))`` (typically
+    ``SharedArray.addr``, so an out-of-range index raises there).
     """
 
-    __slots__ = ("src_addrs", "dst_addrs")
-    mnemonic = "copy_batch"
+    __slots__ = ("index_addrs", "addr_of")
 
-    def __init__(self, src_addrs, dst_addrs) -> None:
-        self.src_addrs = src_addrs
-        self.dst_addrs = dst_addrs
-
-    def expand(self):
-        for src, dst in zip(self.src_addrs, self.dst_addrs, strict=True):
-            yield Write(dst, (yield Read(src)))
+    def __init__(self, index_addrs, addr_of) -> None:
+        self.index_addrs = index_addrs
+        self.addr_of = addr_of
 
 
-class AddBatch(Op):
-    """Accumulate: ``v = Read(a[k]); Write(a[k], v + deltas[k])`` per k.
+class MapBatch(Op):
+    """Run iterations ``[lo, hi)`` of a loop body of assignments.
 
-    The read-modify-write interleaving of a scalar accumulation loop is
-    preserved; the deltas are computed by the program before issue.
+    ``body`` holds one ``(fn, reads, writes)`` entry per assignment:
+    *reads* is a tuple of read address sequences (or :class:`Gather`
+    reads) and *writes* the write address sequence, each with one address
+    per iteration.  Iteration *i* runs, for each assignment in order, its
+    reads in order (a gather is its index read, then its data read), then
+    ``Write(addr, fn(i, *values))``; then ``Compute(compute)`` when
+    *compute* is nonzero.  Every sequence must have ``hi - lo`` addresses.
     """
 
-    __slots__ = ("addrs", "deltas")
-    mnemonic = "add_batch"
+    __slots__ = ("lo", "hi", "body", "compute")
+    mnemonic = "map_batch"
 
-    def __init__(self, addrs, deltas) -> None:
-        self.addrs = addrs
-        self.deltas = deltas
+    def __init__(self, lo: int, hi: int, body, compute: int = 0) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.body = body
+        self.compute = compute
+
+    def plan(self):
+        """``(rows, steps)``: the batch's addresses and loads, unrolled once.
+
+        ``rows`` yields ``(i, address, ...)`` per iteration: each
+        assignment's read addresses (a gather's index address) then its
+        write address, in body order; a sequence of the wrong length
+        raises ``ValueError`` from the strict ``zip``.  ``steps`` holds
+        ``(fn, loads)`` per assignment, one ``loads`` entry per read
+        word: ``None`` takes the next address of the row, a gather's
+        ``addr_of`` maps the value just loaded to the data address.
+        """
+        cols = [range(self.lo, self.hi)]
+        steps = []
+        for fn, reads, writes in self.body:
+            loads = []
+            for read in reads:
+                if type(read) is Gather:
+                    cols.append(read.index_addrs)
+                    loads += (None, read.addr_of)
+                else:
+                    cols.append(read)
+                    loads.append(None)
+            cols.append(writes)
+            steps.append((fn, tuple(loads)))
+        return zip(*cols, strict=True), steps
 
     def expand(self):
-        for addr, delta in zip(self.addrs, self.deltas, strict=True):
-            yield Write(addr, (yield Read(addr)) + delta)
+        rows, steps = self.plan()
+        compute = self.compute
+        for row in rows:
+            k = 1
+            for fn, loads in steps:
+                values = []
+                for addr_of in loads:
+                    if addr_of is None:
+                        addr = row[k]
+                        k += 1
+                    else:
+                        addr = addr_of(int(values.pop()))
+                    values.append((yield Read(addr)))
+                yield Write(row[k], fn(row[0], *values))
+                k += 1
+            if compute:
+                yield Compute(compute)
 
 
 # -- writeback flavors (Section III-B, V) ------------------------------------
@@ -373,7 +420,7 @@ ADDRESSED_OPS = (Read, Write)
 
 #: Batched macro-ops; each one's ``expand()`` is its definition, the
 #: per-word Read/Write sequence every engine and the analyzer execute.
-BATCH_OPS = (ReadBatch, WriteBatch, CopyBatch, AddBatch)
+BATCH_OPS = (ReadBatch, WriteBatch, MapBatch)
 
 #: WB-family operations, used by accounting and by the write buffer model.
 WB_OPS = (WB, WBAll, WBCons, WBConsAll, WBL3, WBAllL3)

@@ -119,15 +119,16 @@ class Cholesky(ModelOneWorkload):
                 ljk = yield isa.Read(M[j][k])
                 col = yield isa.ReadBatch(tuple(M[i][k] for i in range(j, n)))
                 yield isa.Compute(2 * (n - j))
-                # Apply onto column j under the per-column lock.  AddBatch
+                # Apply onto column j under the per-column lock.  MapBatch
                 # interleaves read/write per element like the scalar loop,
                 # and ``cur + (-(lik*ljk))`` is bitwise ``cur - lik*ljk``.
                 lid = _COL_LOCK_BASE + j
                 yield from ctx.lock_acquire(lid, occ=True)
-                yield isa.AddBatch(
-                    tuple(M[j + off][j] for off in range(len(col))),
-                    tuple(-(lik * ljk) for lik in col),
-                )
+                deltas = tuple(-(lik * ljk) for lik in col)
+                addrs = tuple(M[j + off][j] for off in range(len(col)))
+                yield isa.MapBatch(0, len(col), (
+                    (lambda off, cur: cur + deltas[off], (addrs,), addrs),
+                ))
                 cnt = yield isa.Read(self.upd_count.addr(j))
                 yield isa.Write(self.upd_count.addr(j), cnt + 1)
                 yield from ctx.lock_release(lid, occ=True)

@@ -33,6 +33,11 @@ def bit_reverse(i: int, bits: int) -> int:
     return out
 
 
+def _copy(i: int, value):
+    """The permutation's store value: the source word, unchanged."""
+    return value
+
+
 @functools.cache
 def _tables(bits: int) -> tuple[tuple[int, ...], tuple[tuple[complex, ...], ...]]:
     """The bit-reversal permutation and per-stage twiddles for ``2**bits`` points.
@@ -97,13 +102,14 @@ class FFT(ModelOneWorkload):
         # Epoch 0: bit-reversal permutation into the work array.  Each
         # thread writes its chunk of the destination, reading scattered
         # source elements (no producer yet: input preloaded in memory).
-        # The whole permutation is one CopyBatch: the per-element
+        # The whole permutation is one MapBatch: the per-element
         # read-source/write-destination interleaving is its definition.
         rev = self.rev
-        yield isa.CopyBatch(
-            tuple(src_addr(rev[i]) for i in range(lo, hi)),
-            tuple(waddrs[lo:hi]),
-        )
+        yield isa.MapBatch(lo, hi, ((
+            _copy,
+            (tuple(src_addr(rev[i]) for i in range(lo, hi)),),
+            waddrs[lo:hi],
+        ),))
         yield from ctx.barrier()
 
         # Butterfly stages.  Stage s pairs elements 2**s apart; each thread

@@ -10,7 +10,7 @@ from repro.common.errors import AddressError, CompilerError
 from repro.compiler import ir
 from repro.compiler.executor import ModelTwoRunner
 from repro.compiler.interp import interpret
-from repro.core.config import INTER_CONFIGS, INTER_ADDR_L, INTER_HCC
+from repro.core.config import INTER_ADDR_L, INTER_BASE, INTER_CONFIGS, INTER_HCC
 from repro.eval.parallel import SweepCell
 from repro.noc.placement import Placement
 from repro.obs.replay import run_traced
@@ -288,3 +288,43 @@ def test_access_stream_is_pinned(app, config):
     ).encode()
     digest = hashlib.sha256(events).hexdigest()
     assert digest == ACCESS_STREAM_DIGESTS[(app, config.name)]
+
+
+@pytest.mark.parametrize("app", ["jacobi", "is"])
+def test_each_parallel_for_chunk_is_one_map_batch(app, monkeypatch):
+    """A thread issues each ``ParallelFor`` chunk as exactly one
+    ``MapBatch`` and no per-iteration access or compute op, for an
+    affine body (jacobi) and an ``Indirect`` one (is)."""
+    from repro.isa import ops as isa
+    from repro.workloads import MODEL_TWO
+
+    chunks = []
+    parallel_for = ModelTwoRunner._parallel_for
+
+    def recording(self, ctx, stmt):
+        kinds = []
+        chunks.append(kinds)
+        gen = parallel_for(self, ctx, stmt)
+        send = None
+        while True:
+            try:
+                op = gen.send(send)
+            except StopIteration:
+                return
+            kinds.append(type(op))
+            send = yield op
+
+    monkeypatch.setattr(ModelTwoRunner, "_parallel_for", recording)
+    machine = Machine(inter_block_machine(2, 2), INTER_BASE, num_threads=4)
+    workload = MODEL_TWO[app](scale=0.25)
+    runner = workload.prepare(machine)
+    machine.run()
+    workload.verify(runner)
+    loops = sum(isinstance(s, ir.ParallelFor)
+                for s in ir.execution_order(runner.program.stmts))
+    assert len(chunks) == 4 * loops
+    per_iteration = (isa.Read, isa.Write, isa.ReadBatch, isa.WriteBatch,
+                     isa.Compute)
+    for kinds in chunks:
+        assert kinds.count(isa.MapBatch) == 1
+        assert not [k for k in kinds if k in per_iteration]

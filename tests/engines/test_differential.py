@@ -1,12 +1,13 @@
 """Property-based differential test: random programs, both engines.
 
 Hypothesis generates small multithreaded programs over the whole batched
-ISA — scalar and batch reads/writes, interleaved copy/accumulate
-macro-ops, WB/INV annotations (range and ALL), MEB/IEB epochs, and
-compute delays — and runs each program on the reference and the fast
-engine under the same configuration, and a third time on the reference
-engine with every batch instruction written out as its documented scalar
-form.  Statistics, observed load values, and final memory must match
+ISA — scalar and batch reads/writes, loop-chunk ``MapBatch`` macro-ops
+(several assignments, stride-0 and gather reads, per-iteration compute),
+WB/INV annotations (range and ALL), MEB/IEB epochs, and compute delays —
+and runs each program on the reference and the fast engine under the
+same configuration, and a third time on the reference engine with every
+batch instruction written out by hand as its documented scalar form.
+Statistics, observed load values, and final memory must match
 bit-for-bit.
 
 This is the adversarial complement to ``test_equivalence``: the litmus
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import lint_machine
-from repro.common.errors import AnalysisError
+from repro.common.errors import AddressError, AnalysisError
 from repro.common.params import WORD_BYTES, intra_block_machine
 from repro.core.config import INTRA_BASE, INTRA_BMI, INTRA_HCC
 from repro.core.machine import Machine
@@ -44,15 +45,36 @@ _idx = st.integers(min_value=0, max_value=NWORDS - 1)
 _val = st.integers(min_value=0, max_value=999)
 _idx_list = st.lists(_idx, min_size=1, max_size=6)
 
+
+def _map_batch(n):
+    """A ``map_batch`` of *n* iterations.
+
+    Each assignment is ``(reads, write indices, constant)``; a read is an
+    index list, a stride-0 ("fixed") index, an affine ``(start, stride)``
+    range, or a gather through an index list.
+    """
+    idxs = st.lists(_idx, min_size=n, max_size=n)
+    read = st.one_of(
+        st.tuples(st.just("list"), idxs),
+        st.tuples(st.just("fixed"), _idx),
+        st.tuples(st.just("affine"), st.integers(0, NWORDS - 10),
+                  st.integers(1, 3)),
+        st.tuples(st.just("gather"), idxs),
+    )
+    assign = st.tuples(st.lists(read, max_size=3), idxs, _val)
+    return st.tuples(
+        st.just("map_batch"), st.integers(0, 3), st.just(n),
+        st.lists(assign, min_size=1, max_size=3), st.integers(0, 5),
+    )
+
+
 _plain_instr = st.one_of(
     st.tuples(st.just("read"), _idx),
     st.tuples(st.just("write"), _idx, _val),
     st.tuples(st.just("read_batch"), _idx_list),
     st.tuples(st.just("write_batch"), st.lists(st.tuples(_idx, _val),
                                                min_size=1, max_size=6)),
-    st.tuples(st.just("copy_batch"), _idx_list, _idx_list),
-    st.tuples(st.just("add_batch"), st.lists(st.tuples(_idx, _val),
-                                             min_size=1, max_size=6)),
+    st.integers(min_value=1, max_value=4).flatmap(_map_batch),
     st.tuples(st.just("wb"), _idx, st.integers(min_value=1, max_value=16)),
     st.tuples(st.just("inv"), _idx, st.integers(min_value=1, max_value=16)),
     st.tuples(st.just("wb_all"), st.booleans()),
@@ -101,25 +123,24 @@ def _emit(instr, arr, obs, scalar=False):
                 yield isa.Write(a, v)
         else:
             yield isa.WriteBatch(addrs, values)
-    elif kind == "copy_batch":
-        n = min(len(instr[1]), len(instr[2]))
-        srcs = [arr.addr(i) for i in instr[1][:n]]
-        dsts = [arr.addr(i) for i in instr[2][:n]]
+    elif kind == "map_batch":
+        _, lo, n, assigns, compute = instr
+        body = _map_body(assigns, n, arr)
         if scalar:
-            for src, dst in zip(srcs, dsts):
-                v = yield isa.Read(src)
-                yield isa.Write(dst, v)
+            for k, i in enumerate(range(lo, lo + n)):
+                for fn, reads, writes in body:
+                    vals = []
+                    for r in reads:
+                        if isinstance(r, isa.Gather):
+                            index = yield isa.Read(r.index_addrs[k])
+                            vals.append((yield isa.Read(r.addr_of(int(index)))))
+                        else:
+                            vals.append((yield isa.Read(r[k])))
+                    yield isa.Write(writes[k], fn(i, *vals))
+                if compute:
+                    yield isa.Compute(compute)
         else:
-            yield isa.CopyBatch(srcs, dsts)
-    elif kind == "add_batch":
-        addrs = [arr.addr(i) for i, _ in instr[1]]
-        deltas = [d for _, d in instr[1]]
-        if scalar:
-            for a, d in zip(addrs, deltas):
-                v = yield isa.Read(a)
-                yield isa.Write(a, v + d)
-        else:
-            yield isa.AddBatch(addrs, deltas)
+            yield isa.MapBatch(lo, lo + n, body, compute)
     elif kind == "wb":
         yield isa.WB(arr.addr(instr[1]), instr[2] * WORD_BYTES)
     elif kind == "inv":
@@ -135,6 +156,34 @@ def _emit(instr, arr, obs, scalar=False):
         for sub in instr[3]:
             yield from _emit(sub, arr, obs, scalar)
         yield isa.EpochEnd()
+
+
+def _map_body(assigns, n, arr):
+    """The ``MapBatch`` body an instruction's assignments describe.
+
+    A gather wraps its loaded index into the array, so whatever the
+    other threads stored there, the data read stays in range.
+    """
+    def wrapped(value):
+        return arr.addr(value % NWORDS)
+
+    def seq(read):
+        kind = read[0]
+        if kind == "list":
+            return tuple(arr.addr(i) for i in read[1])
+        if kind == "fixed":
+            return (arr.addr(read[1]),) * n
+        if kind == "affine":
+            base, step = arr.addr(read[1]), read[2] * WORD_BYTES
+            return range(base, base + step * n, step)
+        return isa.Gather(tuple(arr.addr(i) for i in read[1]), wrapped)
+
+    return tuple(
+        (lambda i, *vals, c=c: (7 * i + sum(vals) + c) % 1000,
+         tuple(seq(r) for r in reads),
+         tuple(arr.addr(i) for i in writes))
+        for reads, writes, c in assigns
+    )
 
 
 def _run(programs, config, engine, model=None, scalar=False):
@@ -204,9 +253,13 @@ def _mid_batch_program(tid, arr):
         # Lines filled before the INV ALL are stale under rc: the batch
         # mixes lazy refreshes with locally dirty (hence fresh) words.
         yield isa.Write(arr.addr(mine[0]), 99)
-        yield isa.AddBatch([arr.addr(i) for i in mine[:8]], [1] * 8)
-        yield isa.CopyBatch([arr.addr(i) for i in theirs[:4]],
-                            [arr.addr(i) for i in mine[8:12]])
+        add = tuple(arr.addr(i) for i in mine[:8])
+        yield isa.MapBatch(0, 8, ((lambda i, v: v + 1, (add,), add),))
+        yield isa.MapBatch(0, 4, ((
+            lambda i, v: v,
+            (tuple(arr.addr(i) for i in theirs[:4]),),
+            tuple(arr.addr(i) for i in mine[8:12]),
+        ),))
         yield isa.WBAll()
 
     return program
@@ -240,36 +293,152 @@ def test_model_transitions_mid_batch_engine_equivalent():
             assert ref_stats[name] > 0, (model, name)
 
 
-#: Batches whose paired sequences differ in length (three addresses, two
-#: values/destinations/deltas).
+def _map_epoch_program(tid, arr):
+    """``MapBatch`` words on every fused slow path, deterministically.
+
+    Each thread owns one line of ``arr`` and the fourth line is spare.
+    In an MEB/IEB epoch, chunk E's first assignment gathers through the
+    thread's own line, read before the epoch (an IEB refresh), and
+    reads, first of all threads but its owner, the next thread's line
+    (a sisd flip and a delegated fill), then stores into that clean line
+    (L1 hits the MEB must record).  Its second assignment stores into
+    the spare line, which other threads store into too (sisd flips on
+    stores).  After a barrier, in a second MEB epoch, chunk F's lone
+    store fills the previous thread's line, which this core never held,
+    inline: the only MEB record and rc region write of that line.  After
+    an INV ALL, chunk G reads the next thread's line back in and stores
+    L1 hits into it, which rc's region write-back must flush.
+    """
+    mine = [tid * 16 + i for i in range(16)]
+    theirs = [((tid + 1) % NTHREADS) * 16 + i for i in range(16)]
+    prev = ((tid - 1) % NTHREADS) * 16
+    spare = 3 * 16 + 4 * tid
+
+    def addrs(idxs):
+        return tuple(arr.addr(i) for i in idxs)
+
+    def program(ctx):
+        yield isa.WriteBatch(addrs(mine), list(range(16)))
+        yield isa.WBAll()
+        yield isa.INVAll()
+        yield isa.Read(arr.addr(mine[0]))
+        yield isa.EpochBegin(record_meb=True, ieb_mode=True)
+        yield isa.MapBatch(0, 4, (
+            (lambda i, v, w: v + w + i,
+             (addrs(theirs[12:16]),
+              isa.Gather(addrs(mine[:4]),
+                         lambda v: arr.addr(theirs[12 + int(v) % 4]))),
+             addrs(theirs[8:12])),
+            (lambda i: 10 * tid + i, (), addrs(range(spare, spare + 4))),
+        ), 3)
+        yield isa.WBAll(via_meb=True)
+        yield isa.EpochEnd()
+        yield isa.Barrier(0, NTHREADS)
+        yield isa.EpochBegin(record_meb=True)
+        yield isa.MapBatch(0, 1, ((lambda i: 7, (), addrs([prev + 6])),))
+        yield isa.WBAll(via_meb=True)
+        yield isa.EpochEnd()
+        yield isa.INVAll()
+        yield isa.MapBatch(0, 4, (
+            (lambda i, v: 2 * v, (addrs(theirs[8:12]),), addrs(theirs[8:12])),
+        ))
+        yield isa.WBAll()
+
+    return program
+
+
+@pytest.mark.parametrize("model,config", [
+    ("base", INTRA_BMI), ("rc", INTRA_BMI), ("rc", INTRA_BASE),
+    ("sisd", INTRA_BMI),
+], ids=lambda v: getattr(v, "name", v))
+def test_map_batch_slow_paths_engine_equivalent(model, config):
+    """Both engines agree on ``MapBatch`` words that refresh, fill, flip,
+    record in the MEB, or join rc's region write set."""
+    runs = []
+    for engine in ("ref", "fast"):
+        machine = Machine(intra_block_machine(4), config,
+                          num_threads=NTHREADS, engine=engine, model=model)
+        arr = machine.array("a", 4 * 16)
+        for tid in range(NTHREADS):
+            machine.spawn(_map_epoch_program(tid, arr))
+        runs.append((machine.run().to_dict(), machine.read_array(arr)))
+    assert machine.cpu_loop == "fused"
+    assert runs[1] == runs[0]
+
+
+def _copy(i, value):
+    return value
+
+
+#: Batches whose paired sequences differ in length, keyed by their shape:
+#: a store run (three addresses, two values), and a ``map_batch`` copy
+#: (three sources, two destinations) and accumulate (three reads, two
+#: writes) over three iterations.
 _MISMATCHED = {
     "st_batch": lambda a: isa.WriteBatch(a[:3], [1, 2]),
-    "copy_batch": lambda a: isa.CopyBatch(a[:3], a[3:5]),
-    "add_batch": lambda a: isa.AddBatch(a[:3], [1, 2]),
+    "copy_batch": lambda a: isa.MapBatch(0, 3, ((_copy, (a[:3],), a[3:5]),)),
+    "add_batch": lambda a: isa.MapBatch(
+        0, 3, ((lambda i, v: v + 1, (a[:3],), a[:2]),)
+    ),
 }
 
 
-def _mismatched_machine(mnemonic, engine="ref"):
+def _one_thread_machine(ops, engine="ref"):
+    """A one-thread machine whose program yields ``ops(arr, addrs)``."""
     machine = Machine(intra_block_machine(4), INTRA_BASE, num_threads=1,
                       engine=engine)
     arr = machine.array("a", NWORDS)
-    op = _MISMATCHED[mnemonic]([arr.addr(i) for i in range(8)])
+    issued = ops(arr, [arr.addr(i) for i in range(8)])
 
     def program(ctx):
-        yield op
+        for op in issued:
+            yield op
 
     machine.spawn(program)
     return machine
 
 
+def _mismatched_machine(shape, engine="ref"):
+    return _one_thread_machine(lambda arr, a: [_MISMATCHED[shape](a)], engine)
+
+
+def _failure(run):
+    """``(type, message)`` of the exception *run* raises."""
+    with pytest.raises(Exception) as exc:
+        run()
+    return type(exc.value), str(exc.value)
+
+
 @pytest.mark.parametrize("mnemonic", sorted(_MISMATCHED))
 @pytest.mark.parametrize("engine", ["ref", "fast"])
 def test_mismatched_batch_lengths_fail_the_run(mnemonic, engine):
-    with pytest.raises(ValueError):
-        _mismatched_machine(mnemonic, engine).run()
+    ref = _failure(_mismatched_machine(mnemonic).run)
+    assert ref[0] is ValueError
+    assert _failure(_mismatched_machine(mnemonic, engine).run) == ref
 
 
 @pytest.mark.parametrize("mnemonic", sorted(_MISMATCHED))
 def test_mismatched_batch_lengths_fail_lint(mnemonic):
-    with pytest.raises(AnalysisError, match=mnemonic):
-        lint_machine(_mismatched_machine(mnemonic))
+    """Lint names the batch op and repeats the engines' message."""
+    _, message = _failure(_mismatched_machine(mnemonic).run)
+    op_name = _MISMATCHED[mnemonic](list(range(8))).mnemonic
+    assert _failure(lambda: lint_machine(_mismatched_machine(mnemonic))) == (
+        AnalysisError, f"{op_name}: {message}"
+    )
+
+
+def _bad_gather(arr, a):
+    """A gather whose loaded index is one past the array's end."""
+    return [
+        isa.Write(a[0], NWORDS),
+        isa.MapBatch(0, 1, ((_copy, (isa.Gather(a[:1], arr.addr),), a[1:2]),)),
+    ]
+
+
+def test_out_of_range_gather_fails_everywhere():
+    """The data read's ``SharedArray.addr`` raises on ref, fast and lint."""
+    want = (AddressError, f"a[{NWORDS}] out of range ({NWORDS},)")
+    assert _failure(_one_thread_machine(_bad_gather).run) == want
+    assert _failure(_one_thread_machine(_bad_gather, "fast").run) == want
+    assert _failure(lambda: lint_machine(_one_thread_machine(_bad_gather))) \
+        == want

@@ -9,9 +9,9 @@ image of the reference core.  This module enforces that contract on
   read is deterministic in simulation, so even divergent programs must
   diverge *identically* on both engines) under every Table II
   configuration of its machine family, and
-* a sample of the real SPLASH-2/NAS workloads at reduced scale, under
-  the base model and under the rc and sisd models (whose fast-engine
-  hits run through the protocol's fused hooks).
+* a sample of the real SPLASH-2 workloads and every NAS cell at reduced
+  scale under the base model, and a sample under the rc and sisd models
+  (whose fast-engine hits run through the protocol's fused hooks).
 
 The CI ``fastcore-equivalence`` job runs this file on every push; the full
 workload matrix is covered by the figure-golden tests run under
@@ -78,8 +78,11 @@ def test_intra_workload_engine_equivalence(app, config):
     assert _result_fingerprint(fast) == _result_fingerprint(ref)
 
 
-@pytest.mark.parametrize("app,config", [("cg", "Addr+L"), ("jacobi", "Base")])
+@pytest.mark.parametrize("config", [c.name for c in INTER_CONFIGS])
+@pytest.mark.parametrize("app", ["cg", "ep", "ep_hier", "is", "jacobi"])
 def test_inter_workload_engine_equivalence(app, config):
+    """Every NAS cell: each Model-2 loop chunk is one MapBatch, run by
+    the fused loop on ``fast`` and by its expansion on ``ref``."""
     cfg = inter_config(config)
     ref = run_inter(app, cfg, scale=0.4, memory_digest=True, engine="ref")
     fast = run_inter(app, cfg, scale=0.4, memory_digest=True, engine="fast")

@@ -165,6 +165,64 @@ class TestSigkillResume:
         assert not (tmp_path / "verdict.json").exists()
 
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--jobs-count", "5"), ("--kills", "5"), ("--corrupt", "1"),
+        ("--concurrency", "2"), ("--scale", "0.5"), ("--out", "x.json"),
+        ("--work-dir", "w"),
+    ])
+    def test_drill_flag_without_chaos_kill_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        """A drill-only flag on a plain server exits 2 naming the flag,
+        before any server starts."""
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["serve", "--port", "0", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} only applies with --chaos-kill" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_drill_without_flags_runs_chaos_drill_defaults(
+        self, monkeypatch, capsys
+    ):
+        """``--chaos-kill`` alone passes chaos_drill no settings, so the
+        drill runs the defaults its own signature states (the ones
+        BENCH_chaos_drill.json records), and the help repeats them."""
+        import inspect
+
+        from repro import cli
+        from repro.common.rng import DEFAULT_SEED
+        from repro.serve import drill
+
+        calls = []
+
+        def fake(**kwargs):
+            calls.append(kwargs)
+            return {key: 0 for key in (
+                "completed", "jobs", "kills", "incarnations", "seconds",
+                "corrupted_files", "corrupt_healed", "corrupt_quarantined",
+                "corrupt_undetected", "recovered_jobs_observed",
+                "deduped_jobs_observed", "retries", "resubmissions",
+                "divergences", "failures")} | {"ok": True}
+
+        monkeypatch.setattr(drill, "chaos_drill", fake)
+        assert cli.main(["serve", "--chaos-kill"]) == 0
+        assert calls == [{"seed": DEFAULT_SEED}]
+        defaults = {
+            name: p.default
+            for name, p in inspect.signature(chaos_drill).parameters.items()
+        }
+        assert (defaults["concurrency"], defaults["workers"]) == (16, 8)
+        serve = cli.build_parser()._subparsers._group_actions[0].choices[
+            "serve"]
+        helps = {a.dest: a.help for a in serve._actions}
+        for _, dest, param in cli._DRILL_FLAGS:
+            if defaults[param] is not None:
+                assert f"default: {defaults[param]})" in helps[dest], dest
+        assert f"default: {defaults['workers']})" in helps["workers"]
+
+
 class TestGracefulDrainRecovery:
     def test_drained_jobs_resume_on_next_start(self, tmp_path):
         """Drain-cancelled jobs are not finalized: --resume requeues them."""
