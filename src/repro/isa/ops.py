@@ -152,7 +152,10 @@ class MapBatch(Op):
     per iteration.  Iteration *i* runs, for each assignment in order, its
     reads in order (a gather is its index read, then its data read), then
     ``Write(addr, fn(i, *values))``; then ``Compute(compute)`` when
-    *compute* is nonzero.  Every sequence must have ``hi - lo`` addresses.
+    *compute* is nonzero.  Each ``fn`` runs once per iteration, in body
+    order, so a later assignment's ``fn`` may use a value that an earlier
+    assignment's ``fn`` computed in the same iteration.  ``hi`` must not
+    be below ``lo``, and every sequence must have ``hi - lo`` addresses.
     """
 
     __slots__ = ("lo", "hi", "body", "compute")
@@ -174,7 +177,10 @@ class MapBatch(Op):
         ``(fn, loads)`` per assignment, one ``loads`` entry per read
         word: ``None`` takes the next address of the row, a gather's
         ``addr_of`` maps the value just loaded to the data address.
+        ``hi < lo`` raises ``ValueError`` naming both.
         """
+        if self.hi < self.lo:
+            raise ValueError(f"hi {self.hi} is below lo {self.lo}")
         cols = [range(self.lo, self.hi)]
         steps = []
         for fn, reads, writes in self.body:

@@ -4,7 +4,10 @@ A scaled 1-D radix-2 Cooley-Tukey FFT over a shared complex array: a
 bit-reversal permutation epoch, then ``log2(N)`` butterfly stages, each
 separated by a global barrier.  Butterflies are block-distributed; early
 stages pair elements across thread chunks (the all-to-all communication of
-the SPLASH transpose steps), later stages become thread-local.
+the SPLASH transpose steps), later stages become thread-local.  Each
+thread issues the permutation and each stage as one ``MapBatch`` over its
+block: per butterfly, read the upper and lower elements, store both, then
+compute.
 
 All inter-thread communication is barrier-ordered — the canonical Figure 4a
 pattern.  Annotations are the barrier defaults (WB ALL / INV ALL).
@@ -54,6 +57,54 @@ def _tables(bits: int) -> tuple[tuple[int, ...], tuple[tuple[complex, ...], ...]
         for s in range(bits)
     )
     return rev, twiddle
+
+
+@functools.cache
+def _butterflies(
+    bits: int, nthreads: int
+) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]:
+    """Per thread, per stage: its butterflies' upper and lower indices.
+
+    Stage *s* pairs elements ``half = 2**s`` apart: butterfly *b* joins
+    element ``(b // half) * 2 * half + b % half`` with the one ``half``
+    above it.  The ``2**bits // 2`` butterflies are block-distributed over
+    the threads, so early stages pair elements across thread chunks and
+    later ones are thread-local.  Like :func:`_tables`, the lists depend
+    only on their arguments and are built once; they share one int object
+    per index, so they cost a pointer per entry.
+    """
+    index = tuple(range(1 << bits))
+    bchunk = len(index) // 2 // nthreads
+    threads = []
+    for t in range(nthreads):
+        stages = []
+        for s in range(bits):
+            half = 1 << s
+            tops = tuple(
+                index[(b // half) * (half << 1) + b % half]
+                for b in range(t * bchunk, (t + 1) * bchunk)
+            )
+            stages.append((tops, tuple(index[i + half] for i in tops)))
+        threads.append(tuple(stages))
+    return tuple(threads)
+
+
+def _butterfly(twiddle: tuple[complex, ...], half: int):
+    """One stage's butterfly as two ``MapBatch`` assignments.
+
+    ``upper(b, va, vb)`` stores ``va + vb*tw`` over butterfly *b*'s upper
+    element and leaves ``va - vb*tw`` in a cell keyed by *b*; ``lower(b)``
+    takes it from there and stores it over the lower element, in the same
+    iteration.
+    """
+    lowers = {}
+
+    def upper(b, va, vb):
+        vb = vb * twiddle[b % half]
+        lowers[b] = va - vb
+        return va + vb
+
+    return upper, lowers.pop
 
 
 @register_model_one
@@ -113,23 +164,18 @@ class FFT(ModelOneWorkload):
         yield from ctx.barrier()
 
         # Butterfly stages.  Stage s pairs elements 2**s apart; each thread
-        # owns the butterflies whose pair-group base falls in its chunk.
-        for s in range(bits):
-            half = 1 << s
-            span = half << 1
-            twiddle = self.twiddle[s]
-            # Iterate over this thread's share of butterflies.
-            total_butterflies = n // 2
-            bchunk = total_butterflies // nt
-            for b in range(t * bchunk, (t + 1) * bchunk):
-                group = b // half
-                j = b % half
-                idx_a = group * span + j
-                ab = (waddrs[idx_a], waddrs[idx_a + half])
-                va, vb = yield isa.ReadBatch(ab)
-                vb = vb * twiddle[j]
-                yield isa.WriteBatch(ab, (va + vb, va - vb))
-                yield isa.Compute(8)  # twiddle multiply FLOPs
+        # owns a block of butterflies, and the whole block is one MapBatch.
+        # Butterfly b reads its upper and lower elements, stores both, then
+        # computes (the twiddle multiply's 8 FLOPs).
+        bchunk = n // 2 // nt
+        blo, bhi = t * bchunk, (t + 1) * bchunk
+        for s, stage in enumerate(_butterflies(bits, nt)[t]):
+            upper, lower = _butterfly(self.twiddle[s], 1 << s)
+            tops, bottoms = (tuple(map(waddrs.__getitem__, idx)) for idx in stage)
+            yield isa.MapBatch(blo, bhi, (
+                (upper, (tops, bottoms), tops),
+                (lower, (), bottoms),
+            ), 8)
             yield from ctx.barrier()
 
     def reference(self) -> np.ndarray:

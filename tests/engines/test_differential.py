@@ -366,20 +366,75 @@ def test_map_batch_slow_paths_engine_equivalent(model, config):
     assert runs[1] == runs[0]
 
 
+#: A lone store, scalar or as a one-word run.
+_STORES = {
+    "write": lambda addr, value: isa.Write(addr, value),
+    "write_batch": lambda addr, value: isa.WriteBatch((addr,), (value,)),
+}
+
+
+def _lone_fill_program(tid, arr, store):
+    """An MEB epoch whose only store to a line is an inline L2 fill.
+
+    Each thread writes its own line back to L2; after a barrier, in an
+    MEB epoch, it stores one word of the previous thread's line, which
+    its core never held.  That store is the line's only MEB record, so
+    the epoch's MEB write-back flushes it only if the fill recorded it.
+    After a second barrier each thread reads the word stored into its own
+    line.
+    """
+    mine = tid * 16
+    prev = ((tid - 1) % NTHREADS) * 16
+
+    def program(ctx):
+        yield isa.WriteBatch(tuple(arr.addr(mine + i) for i in range(16)),
+                             tuple(range(16)))
+        yield isa.WBAll()
+        yield isa.Barrier(0, NTHREADS)
+        yield isa.EpochBegin(record_meb=True)
+        yield store(arr.addr(prev + 6), 100 + tid)
+        yield isa.WBAll(via_meb=True)
+        yield isa.EpochEnd()
+        yield isa.Barrier(0, NTHREADS)
+        yield isa.INVAll()
+        yield isa.Read(arr.addr(mine + 6))
+
+    return program
+
+
+@pytest.mark.parametrize("store", sorted(_STORES))
+@pytest.mark.parametrize("model,config", [
+    ("base", INTRA_BMI), ("rc", INTRA_BMI), ("sisd", INTRA_BMI),
+], ids=lambda v: getattr(v, "name", v))
+def test_lone_store_fill_records_in_meb_engine_equivalent(model, config, store):
+    """Both engines record a ``Write``/``WriteBatch`` inline fill in the MEB."""
+    runs = []
+    for engine in ("ref", "fast"):
+        machine = Machine(intra_block_machine(4), config,
+                          num_threads=NTHREADS, engine=engine, model=model)
+        arr = machine.array("a", 3 * 16)
+        for tid in range(NTHREADS):
+            machine.spawn(_lone_fill_program(tid, arr, _STORES[store]))
+        runs.append((machine.run().to_dict(), machine.read_array(arr)))
+    assert machine.cpu_loop == "fused"
+    assert runs[1] == runs[0]
+
+
 def _copy(i, value):
     return value
 
 
-#: Batches whose paired sequences differ in length, keyed by their shape:
-#: a store run (three addresses, two values), and a ``map_batch`` copy
-#: (three sources, two destinations) and accumulate (three reads, two
-#: writes) over three iterations.
+#: Ill-formed batches, keyed by their shape: a store run (three addresses,
+#: two values), a ``map_batch`` copy (three sources, two destinations) and
+#: accumulate (three reads, two writes) over three iterations, and a
+#: ``map_batch`` whose ``hi`` is below its ``lo`` (empty sequences).
 _MISMATCHED = {
     "st_batch": lambda a: isa.WriteBatch(a[:3], [1, 2]),
     "copy_batch": lambda a: isa.MapBatch(0, 3, ((_copy, (a[:3],), a[3:5]),)),
     "add_batch": lambda a: isa.MapBatch(
         0, 3, ((lambda i, v: v + 1, (a[:3],), a[:2]),)
     ),
+    "hi_below_lo": lambda a: isa.MapBatch(3, 1, ((_copy, ((),), ()),)),
 }
 
 
