@@ -41,7 +41,10 @@ model.
 One job definition: ``fig9``–``fig12``, ``run`` and ``trace`` build a
 ``sweep`` job (intra- or inter-block follows from its apps), and
 ``gen``, ``litmus``, ``chaos``, ``lint`` and ``fleet`` the job server's
-kinds of the same names.  Each turns its flags into that kind's spec
+kinds of the same names.  Their job flags are built from the kind's field
+table (:func:`repro.serve.jobs.spec_fields`) and default to unset, so an
+unset flag leaves its field out of the spec and the kind's own default
+applies.  Each command turns its flags into that kind's spec
 dict, lowers it with :func:`repro.serve.jobs.compile_job` (the only place
 a spec is validated — a spec it rejects is a usage error here, exit 2,
 named by its flag; the server's queue-size ceilings do not apply), runs
@@ -109,29 +112,26 @@ def _cmd_run(args) -> int:
     from repro.eval.runner import RunResult
 
     app = args.workload
-    if args.staleness and (app in MODEL_ONE or app in MODEL_TWO):
+    spec = spec_from_args("sweep", args)
+    if args.staleness:
         from repro.eval.runner import stage
 
-        if app in MODEL_ONE:
-            kind, config = "intra", intra_config(args.config)
-        else:
-            kind, config = "inter", inter_config(args.config)
+        # The job's one cell, staged with the stale-read detector on.
+        [unit] = _compile("sweep", spec).units
+        cell = unit.cell
         staged = stage(
-            kind, app, config, scale=args.scale, detect_staleness=True,
-            engine=args.engine, model=args.model,
+            cell.kind, app, cell.config, detect_staleness=True,
+            **dict(cell.kwargs),
         )
         staged.run()
         machine = staged.machine
         n = len(machine.stale_reads)
-        print(f"{app} under {config.name}: verified OK, "
+        print(f"{app} under {cell.config.name}: verified OK, "
               f"{n} stale read(s) detected")
         for event in machine.stale_reads[:10]:
             print(f"  {event!r}")
         return 0 if n == 0 else 1
-    doc, _ = _run("sweep", _spec(
-        apps=[app], configs=[args.config], scale=args.scale,
-        engine=args.engine, model=args.model,
-    ))
+    doc, _ = _run("sweep", spec)
     [row] = doc["matrix"].values()
     [cell] = row.values()
     result = RunResult.from_dict(cell)
@@ -181,52 +181,29 @@ def _sweep_executor(args):
     return SweepExecutor(jobs=args.jobs, cache=cache)
 
 
-def _spec(**fields) -> dict:
-    """A job spec from flag values, leaving out the unset (``None``) ones."""
-    return {k: v for k, v in fields.items() if v is not None}
+def spec_from_args(kind: str, args) -> dict:
+    """The *kind* job spec of the parsed flags: one entry per flag set.
 
+    *kind* names a field table (:func:`repro.serve.jobs.spec_fields`).  An
+    unset flag is ``None`` and stays out of the spec, so the kind's own
+    default applies.
+    """
+    from repro.serve.jobs import spec_fields
 
-def _names(csv: str | None) -> list[str] | None:
-    """A comma-separated flag value as a name list (``None`` when empty)."""
-    if not csv:
-        return None
-    return [n for n in csv.split(",") if n] or None
-
-
-#: The flag that sets each spec field, per job kind (docs/SERVICE.md), so
-#: a rejected spec reports what the user actually typed.
-_FLAG_FOR_FIELD = {
-    "sweep": {
-        "apps": "WORKLOAD", "configs": "--config", "scale": "--scale",
-        "engine": "--engine", "model": "--model",
-    },
-    "gen": {
-        "pattern": "PATTERN", "seed": "--seed", "threads": "--threads",
-        "footprint_lines": "--footprint", "rounds": "--rounds",
-        "skew": "--skew", "configs": "--config", "engine": "--engine",
-    },
-    "litmus": {
-        "kernels": "KERNEL", "model": "--model", "engine": "--engine",
-        "models": "--models", "engines": "--engines",
-    },
-    "chaos": {
-        "workloads": "--workload", "plans": "--plans", "seed": "--seed",
-        "scale": "--scale", "model": "--model", "faults": "--faults",
-        "engine": "--engine",
-    },
-    "lint": {
-        "workloads": "NAME", "all_workloads": "--all-workloads",
-        "config": "--config", "scale": "--scale", "model": "--model",
-    },
-    "fleet": {
-        "scenarios": "--scenarios", "seed": "--seed",
-        "configs": "--configs", "engines": "--engines",
-    },
-}
+    spec = {}
+    for f in spec_fields(kind):
+        if f.flag is None:
+            continue
+        value = getattr(args, f.flag.lstrip("-").replace("-", "_"), None)
+        if value is not None and f.from_cli is not None:
+            value = f.from_cli(value)
+        if value is not None:
+            spec[f.name] = value
+    return spec
 
 
 def _compile(kind: str, spec: dict):
-    """Lower ``{kind, spec}`` through the shared job schema.
+    """Lower a *kind* spec (a field-table name) through the shared job schema.
 
     A spec the lowering rejects is a usage error here, reported against
     the flag rather than the spec field it set.
@@ -234,12 +211,15 @@ def _compile(kind: str, spec: dict):
     import re
 
     from repro.common.errors import ConfigError
-    from repro.serve.jobs import JobError, compile_job
+    from repro.serve.jobs import JobError, compile_job, spec_fields
 
     try:
-        return compile_job({"kind": kind, "spec": spec})
+        return compile_job({"kind": kind.split()[0], "spec": spec})
     except JobError as exc:
-        flags = _FLAG_FOR_FIELD[kind]
+        flags = {
+            f.name: f.flag if f.flag.startswith("-") else f.flag.upper()
+            for f in spec_fields(kind) if f.flag is not None
+        }
         message = re.sub(
             r"spec\.(\w+)",
             lambda m: flags.get(m.group(1), m.group(0)),
@@ -275,10 +255,7 @@ def _cmd_figure(args) -> int:
     from repro.eval.runner import RunResult
 
     apps, configs, render = _FIGURES[args.command]
-    spec = _spec(
-        apps=apps, configs=configs, scale=args.scale,
-        engine=args.engine, model=args.model,
-    )
+    spec = {**spec_from_args("sweep", args), "apps": apps, "configs": configs}
     if args.trace is None and args.metrics is None:
         doc, ex = _run("sweep", spec, args)
         print(ex.stats.summary(), file=sys.stderr)
@@ -307,9 +284,7 @@ def _cmd_trace(args) -> int:
 
     from repro.obs.replay import cell_trace_name, run_traced
 
-    [unit] = _compile("sweep", _spec(
-        apps=[args.workload], configs=[args.config], scale=args.scale,
-    )).units
+    [unit] = _compile("sweep", spec_from_args("sweep", args)).units
     result, tracer, metrics = run_traced(unit.cell)
     out = pathlib.Path(args.out or cell_trace_name(args.workload, result.config))
     tracer.write_jsonl(out)
@@ -349,11 +324,7 @@ def _cmd_gen(args) -> int:
     if args.pattern is None:
         print("repro gen: name a pattern (see --list-patterns)", file=sys.stderr)
         return 2
-    doc, _ = _run("gen", _spec(
-        pattern=args.pattern, seed=args.seed, threads=args.threads,
-        footprint_lines=args.footprint, rounds=args.rounds, skew=args.skew,
-        configs=[args.config], engine=args.engine,
-    ))
+    doc, _ = _run("gen", spec_from_args("gen", args))
     [(config_name, cell)] = doc["cells"].items()
     config = intra_config(config_name)
     spec = ScenarioSpec.from_dict(doc["scenario"])
@@ -429,11 +400,7 @@ def _cmd_fleet(args) -> int:
     import json
     import pathlib
 
-    verdict, ex = _run("fleet", _spec(
-        scenarios=args.scenarios, seed=args.seed,
-        configs=_names(args.configs), engines=_names(args.engines),
-        lint=not args.no_lint,
-    ), args)
+    verdict, ex = _run("fleet", spec_from_args("fleet", args), args)
     if args.out:
         pathlib.Path(args.out).write_text(
             json.dumps(verdict, indent=1, sort_keys=True)
@@ -463,14 +430,12 @@ def _cmd_lint(args) -> int:
     from repro.analysis import render_report
     from repro.workloads.litmus import LITMUS
 
-    spec = _spec(config=args.config, model=args.model, scale=args.scale)
+    spec = spec_from_args("lint", args)
     if args.all_workloads:
-        spec["all_workloads"] = True
+        spec.pop("workloads", None)  # --all-workloads wins over names
     elif args.litmus:
         spec["workloads"] = list(LITMUS)
-    elif args.workload:
-        spec["workloads"] = args.workload
-    else:
+    elif "workloads" not in spec:
         from repro.common.errors import ConfigError
 
         raise ConfigError(
@@ -480,11 +445,12 @@ def _cmd_lint(args) -> int:
     if args.dump_cfg:
         from repro.analysis import extract
         from repro.analysis.cfg import build_cfgs, render_cfg
-        from repro.serve.jobs import lint_subject, lint_targets
+        from repro.serve.jobs import lint_subject, lint_targets, read_spec
 
         _compile("lint", spec)  # validate exactly as a lint run would
-        for kind, name, config in lint_targets(spec):
-            trace = extract(lint_subject(kind, name, config, args.scale))
+        v = read_spec("lint", spec)
+        for kind, name, config in lint_targets(v):
+            trace = extract(lint_subject(kind, name, config, v["scale"]))
             for cfg_ in build_cfgs(trace):
                 print(render_cfg(cfg_))
         return 0
@@ -580,10 +546,9 @@ def _cmd_litmus(args) -> int:
     if args.matrix:
         from repro.models.matrix import render_matrix
 
-        doc, ex = _run("litmus", _spec(
-            matrix=True, models=_names(args.models),
-            engines=_names(args.engines), kernels=args.kernel or None,
-        ), args)
+        doc, ex = _run(
+            "litmus matrix", spec_from_args("litmus matrix", args), args
+        )
         if args.out:
             pathlib.Path(args.out).write_text(
                 json.dumps(doc, indent=1, sort_keys=True)
@@ -600,22 +565,21 @@ def _cmd_litmus(args) -> int:
     from repro.serve.jobs import run_job
 
     ex = _sweep_executor(args)
+    spec = spec_from_args("litmus", args)
 
-    def litmus_job(kernels):
-        return run_job(_compile("litmus", _spec(
-            kernels=kernels, all=None if kernels else True,
-            model=args.model, engine=args.engine,
-        )), ex)
+    def litmus_job(job_spec):
+        return run_job(_compile("litmus", job_spec), ex)
 
     try:
-        doc = litmus_job(args.kernel or None)
+        doc = litmus_job(spec)
     except AssertionError:
         # The batch stops at the first failing oracle: rerun kernel by
         # kernel so every failure is named and the rest still run.
         worst = 0
+        rest = {k: v for k, v in spec.items() if k not in ("all", "kernels")}
         for name in args.kernel or list(LITMUS):
             try:
-                doc = litmus_job([name])
+                doc = litmus_job({**rest, "kernels": [name]})
             except AssertionError as exc:
                 print(f"{name:36s} [{LITMUS[name].model}] "
                       f"ORACLE FAILED: {exc}",
@@ -657,11 +621,7 @@ def _cmd_chaos(args) -> int:
         for kind in FaultKind:
             print(f"  {kind.value:22s}{FAULT_CATALOG[kind]}")
         return 0
-    doc, ex = _run("chaos", _spec(
-        workloads=args.workload, plans=args.plans, seed=args.seed,
-        faults=_names(args.faults), scale=args.scale, model=args.model,
-        engine=args.engine,
-    ), args)
+    doc, ex = _run("chaos", spec_from_args("chaos", args), args)
     if args.json:
         print(frpt.render_json(doc), end="")
     else:
@@ -730,20 +690,27 @@ def _cmd_serve(args) -> int:
             kind=args.fault_kind,
             seed=DEFAULT_SEED if args.fault_seed is None else args.fault_seed,
         )
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        workers=ServerConfig.workers if args.workers is None else args.workers,
-        quota=args.quota,
-        queue_limit=args.queue_limit,
-        timeout=args.timeout,
-        retries=args.retries,
-        cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        faults=faults,
-        journal_dir=args.journal,
-        resume=args.resume,
-    )
+    chosen = {
+        name: getattr(args, name)
+        for name in ("workers", "quota", "queue_limit", "retries")
+        if getattr(args, name) is not None
+    }
+    try:
+        config = ServerConfig(
+            host=args.host,
+            port=args.port,
+            timeout=args.timeout,
+            cache=not args.no_cache,
+            cache_dir=args.cache_dir,
+            faults=faults,
+            journal_dir=args.journal,
+            resume=args.resume,
+            **chosen,
+        )
+    except ConfigError as exc:
+        # ServerConfig names the field; the user typed its flag.
+        field, rest = str(exc).split(" ", 1)
+        raise ConfigError(f"--{field.replace('_', '-')} {rest}") from None
     return serve_server.run(config)
 
 
@@ -803,23 +770,35 @@ def _cmd_storage(_args) -> int:
     return 0
 
 
-def _add_engine(p, help: str) -> None:
-    """``--engine``: one of the registered simulator cores."""
-    from repro.engines import available_engines
+def _add_spec_flags(p, *kinds: str, only: tuple[str, ...] = ()) -> None:
+    """Add the flags of *kinds*' spec fields (those in *only*, if given).
 
-    p.add_argument(
-        "--engine", choices=available_engines(), default=None, help=help
-    )
+    Each flag comes from its :class:`repro.serve.jobs.Field` row and
+    defaults to ``None`` (see :func:`spec_from_args`); a field the tables
+    share (``litmus`` and ``litmus matrix``) gets one flag.
+    """
+    from repro.serve.jobs import spec_fields
 
-
-def _add_model(p, help: str, *, hcc: bool = False) -> None:
-    """``--model``: a registered memory model (software ones unless *hcc*)."""
-    from repro.models import available_models, software_models
-
-    p.add_argument(
-        "--model", choices=available_models() if hcc else software_models(),
-        default=None, help=help,
-    )
+    added = set()
+    for kind in kinds:
+        for f in spec_fields(kind):
+            if f.flag is None or f.flag in added or (only and f.name not in only):
+                continue
+            added.add(f.flag)
+            shown = f.default
+            if isinstance(shown, list):
+                shown = ",".join(shown)
+            help = f.help
+            if shown is not None and f.type is not bool:
+                help += f" (default: {shown})"
+            kwargs = {"default": None, "help": help.replace("%", "%%")}
+            if f.type is bool:
+                kwargs["action"] = "store_true"
+            elif f.type is not list:
+                kwargs["type"] = f.type
+            if f.type is str and f.choices and f.flag.startswith("-"):
+                kwargs["choices"] = f.choices()
+            p.add_argument(f.flag, **kwargs, **f.cli)
 
 
 def _add_sweep_flags(p) -> None:
@@ -841,6 +820,9 @@ def _add_sweep_flags(p) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the `repro` argument parser (one subcommand per artifact)."""
+    from repro.engines import available_engines
+    from repro.serve.server import ServerConfig
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=__doc__,
@@ -853,15 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_run = sub.add_parser("run", help="run one verified (workload, config)")
-    p_run.add_argument("workload")
-    p_run.add_argument("--config", default=None,
-                       help="Table II name (default: B+M+I or Addr+L)")
-    p_run.add_argument("--scale", type=float, default=1.0)
-    _add_engine(p_run, "simulator core (default: $REPRO_ENGINE or ref)")
-    _add_model(
-        p_run, "memory model for software-coherent configs "
-        "(default: $REPRO_MODEL or base; HCC configs always run MESI)",
-    )
+    _add_spec_flags(p_run, "sweep")
     p_run.add_argument(
         "--staleness",
         action="store_true",
@@ -886,16 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         if needs_scale:
-            p.add_argument("--scale", type=float, default=1.0)
-            _add_engine(
-                p, "simulator core of every cell "
-                "(default: $REPRO_ENGINE or ref)",
-            )
-            _add_model(
-                p, "memory model for the software-coherent cells "
-                "(default: $REPRO_MODEL or base); the result cache keys "
-                "on it",
-            )
+            _add_spec_flags(p, "sweep", only=("scale", "engine", "model"))
             _add_sweep_flags(p)
             p.add_argument(
                 "--trace", metavar="DIR", default=None,
@@ -912,10 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser(
         "trace", help="replay one (workload, config) cell with tracing on"
     )
-    p_tr.add_argument("workload")
-    p_tr.add_argument("--config", default=None,
-                      help="Table II name (default: B+M+I or Addr+L)")
-    p_tr.add_argument("--scale", type=float, default=1.0)
+    _add_spec_flags(p_tr, "sweep", only=("apps", "configs", "scale"))
     p_tr.add_argument("--out", metavar="PATH", default=None,
                       help="JSONL trace path (default: <app>-<cfg>.trace.jsonl)")
     p_tr.add_argument("--chrome", metavar="PATH", default=None,
@@ -937,36 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
             "errors.  See docs/RESILIENCE.md."
         ),
     )
-    p_chaos.add_argument(
-        "--workload", action="append", default=None, metavar="NAME",
-        help="chaos target (repeatable): a workload or litmus-kernel name, "
-        "'litmus' for every determinate kernel, or 'tiny' for the "
-        "small-cache pressure target (default: litmus + fft + lu_cont + "
-        "is + tiny)",
-    )
-    p_chaos.add_argument(
-        "--plans", type=int, default=10,
-        help="number of seeded random fault plans (default: 10)",
-    )
-    p_chaos.add_argument(
-        "--seed", type=int, default=None,
-        help="root seed for plan generation (default: the repo-wide seed); "
-        "the whole sweep reproduces from this one value",
-    )
-    p_chaos.add_argument(
-        "--faults", default=None, metavar="KIND,KIND",
-        help="restrict plans to these fault kinds "
-        "(see --list-faults; default: all kinds)",
-    )
-    p_chaos.add_argument("--scale", type=float, default=0.5)
-    _add_engine(
-        p_chaos, "simulator core of every chaos cell "
-        "(default: $REPRO_ENGINE or ref)",
-    )
-    _add_model(
-        p_chaos, "memory model for the software-coherent chaos cells "
-        "(default: base); HCC reference cells are unaffected",
-    )
+    _add_spec_flags(p_chaos, "chaos")
     _add_sweep_flags(p_chaos)
     p_chaos.add_argument(
         "--json", action="store_true",
@@ -994,33 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
             "table (docs/MEMORY_MODELS.md)."
         ),
     )
-    p_lit.add_argument(
-        "kernel", nargs="*",
-        help="litmus kernel names (default: every registered kernel)",
-    )
-    p_lit.add_argument(
-        "--matrix", action="store_true",
-        help="run the (model x kernel x engine) conformance grid",
-    )
-    _add_model(
-        p_lit, "memory model for direct runs "
-        "(default: $REPRO_MODEL or base; ignored with --matrix)",
-        hcc=True,
-    )
-    p_lit.add_argument(
-        "--models", default=None, metavar="NAME,NAME",
-        help="matrix: comma-separated model axis "
-        "(default: every registered model)",
-    )
-    _add_engine(
-        p_lit, "simulator core for direct runs "
-        "(default: $REPRO_ENGINE or ref; ignored with --matrix)",
-    )
-    p_lit.add_argument(
-        "--engines", default=None, metavar="NAME,NAME",
-        help="matrix: comma-separated engine axis "
-        "(default: every registered engine)",
-    )
+    _add_spec_flags(p_lit, "litmus", "litmus matrix")
     _add_sweep_flags(p_lit)
     p_lit.add_argument(
         "--json", action="store_true",
@@ -1045,21 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
             "must produce the HCC image.  See docs/ARCHITECTURE.md."
         ),
     )
-    p_gen.add_argument(
-        "pattern", nargs="?", default=None,
-        help="sharing pattern (see --list-patterns)",
-    )
-    p_gen.add_argument("--seed", type=int, default=None,
-                       help="scenario seed (default: the repo-wide seed)")
-    p_gen.add_argument("--threads", type=int, default=4)
-    p_gen.add_argument("--footprint", type=int, default=4, metavar="LINES",
-                       help="shared-data footprint in cache lines (default: 4)")
-    p_gen.add_argument("--rounds", type=int, default=2)
-    p_gen.add_argument("--skew", type=float, default=1.2,
-                       help="Zipf exponent for zipf_hot (default: 1.2)")
-    p_gen.add_argument("--config", default="B+M+I",
-                       help="Table II intra config (default: B+M+I)")
-    _add_engine(p_gen, "simulator core (default: $REPRO_ENGINE or ref)")
+    _add_spec_flags(p_gen, "gen")
     p_gen.add_argument("--list-patterns", action="store_true",
                        help="list the generator patterns and exit")
     p_gen.set_defaults(fn=_cmd_gen)
@@ -1088,7 +981,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="inter-block model: number of blocks (default: 4)")
     p_rp.add_argument("--cores-per-block", type=int, default=8,
                       help="inter-block model: cores per block (default: 8)")
-    _add_engine(p_rp, "simulator core (default: $REPRO_ENGINE or ref)")
+    p_rp.add_argument("--engine", choices=available_engines(), default=None,
+                      help="simulator core (default: $REPRO_ENGINE or ref)")
     p_rp.add_argument("--out", metavar="PATH", default=None,
                       help="write the re-recorded replay trace to PATH")
     p_rp.add_argument(
@@ -1113,30 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
             "any divergence, mismatch, or finding."
         ),
     )
-    p_fleet.add_argument(
-        "--scenarios", type=int, default=32, metavar="N",
-        help="number of sampled scenarios (default: 32)",
-    )
-    p_fleet.add_argument(
-        "--seed", type=int, default=None,
-        help="root seed for scenario sampling (default: the repo-wide "
-        "seed); the whole fleet reproduces from this one value",
-    )
-    p_fleet.add_argument(
-        "--engines", default="ref", metavar="NAME,NAME",
-        help="comma-separated simulator cores to cross-check "
-        "(default: ref)",
-    )
-    p_fleet.add_argument(
-        "--configs", default="Base,B+M+I", metavar="NAME,NAME",
-        help="comma-separated software-coherent Table II intra configs "
-        "(default: Base,B+M+I; the HCC reference is implicit)",
-    )
+    _add_spec_flags(p_fleet, "fleet")
     _add_sweep_flags(p_fleet)
-    p_fleet.add_argument(
-        "--no-lint", action="store_true",
-        help="skip the static Section IV-A lint pass",
-    )
     p_fleet.add_argument(
         "--json", action="store_true",
         help="print the full verdict document as JSON",
@@ -1169,19 +1041,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8787,
                        help="TCP port; 0 picks an ephemeral port "
                        "(default: 8787)")
+    # --workers/--quota/--queue-limit/--retries default to None: an unset
+    # one keeps ServerConfig's (or, for --workers, chaos_drill's) default.
     p_srv.add_argument("--workers", type=int, default=None,
-                       help="worker pool width (default: 4; chaos drill: "
-                       "its server's width, default: 8)")
-    p_srv.add_argument("--quota", type=int, default=8,
-                       help="max active jobs per client (default: 8)")
-    p_srv.add_argument("--queue-limit", type=int, default=512,
+                       help=f"worker pool width (default: "
+                       f"{ServerConfig.workers}; chaos drill: its server's "
+                       "width, default: 8)")
+    p_srv.add_argument("--quota", type=int, default=None,
+                       help="max active jobs per client "
+                       f"(default: {ServerConfig.quota})")
+    p_srv.add_argument("--queue-limit", type=int, default=None,
                        help="max queued+in-flight work units before "
-                       "submissions get 429 (default: 512)")
+                       f"submissions get 429 (default: {ServerConfig.queue_limit})")
     p_srv.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="per-unit wall-clock budget in seconds "
                        "(default: none)")
-    p_srv.add_argument("--retries", type=int, default=1,
-                       help="per-unit retry budget (default: 1)")
+    p_srv.add_argument("--retries", type=int, default=None,
+                       help="per-unit retry budget "
+                       f"(default: {ServerConfig.retries})")
     p_srv.add_argument("--no-cache", action="store_true",
                        help="serve without the persistent result cache")
     p_srv.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -1276,31 +1153,12 @@ def build_parser() -> argparse.ArgumentParser:
             "Rules are documented in docs/ANNOTATIONS.md."
         ),
     )
-    p_lint.add_argument(
-        "workload", nargs="*",
-        help="workload or litmus-kernel names (see `repro list`)",
-    )
-    p_lint.add_argument(
-        "--all-workloads", action="store_true",
-        help="lint every shipped SPLASH/NAS workload",
-    )
+    _add_spec_flags(p_lint, "lint")
     p_lint.add_argument(
         "--litmus", action="store_true",
         help="lint every litmus kernel and cross-validate against its "
         "documented expectation (broken kernels must be flagged)",
     )
-    p_lint.add_argument(
-        "--config", default=None,
-        help="Table II config to analyze under (default: Base intra, "
-        "Addr inter; HCC is rejected — nothing to lint)",
-    )
-    _add_model(
-        p_lint, "memory model whose lint profile parameterizes the rule "
-        "catalog: findings of rules that model discharges in the "
-        "protocol are waived (default: base; litmus expectations are "
-        "documented for base)",
-    )
-    p_lint.add_argument("--scale", type=float, default=0.5)
     p_lint.add_argument(
         "--json", action="store_true",
         help="emit the report(s) as JSON instead of text",

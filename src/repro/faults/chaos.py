@@ -70,6 +70,9 @@ from repro.faults.model import FaultPlan
 SAFE_INTRA = ("fft", "lu_cont")
 SAFE_INTER = ("is",)
 
+#: Workload scale of a chaos cell unless the caller names one.
+CHAOS_SCALE = 0.5
+
 #: Workload-token shorthands accepted by :func:`default_targets`.
 TOKEN_LITMUS = "litmus"
 TOKEN_TINY = "tiny"
@@ -151,7 +154,7 @@ def _litmus_target(name: str, **runs) -> ChaosTarget:
 def default_targets(
     workloads: Sequence[str] | None = None,
     *,
-    scale: float = 0.5,
+    scale: float = CHAOS_SCALE,
     model: str | None = None,
     engine: str | None = None,
 ) -> list[ChaosTarget]:

@@ -19,17 +19,24 @@ document.  Both transports execute that same object: the job server shards
 the units across its worker pool, and the ``repro`` CLI hands the job to
 :func:`run_job`, which runs the cells in one cached
 :class:`~repro.eval.parallel.SweepExecutor` batch.  Served results therefore
-equal local runs by construction.  Validation failures raise
-:class:`JobError` with an HTTP-ish status (400).  Size ceilings that only
-protect the server's queue (:data:`SERVER_LIMITS`, :data:`MAX_UNITS`) are
-checked by :func:`check_admission` on the server's submit path, so the CLI
-runs any size the lowering accepts; quota and backpressure are the
-server's alone.
+equal local runs by construction.
+
+Each kind's spec fields are declared once, as :class:`Field` rows
+(:func:`spec_fields`): name, type, default, lower bound, server ceiling,
+CLI flag and help.  The lowerers read a spec through :func:`read_spec`, the
+``repro`` CLI builds its flags and specs from the same rows, and
+docs/SERVICE.md's field tables are generated from them.  Validation
+failures raise :class:`JobError` with an HTTP-ish status (400) naming the
+field.  Size ceilings that only protect the server's queue (each field's
+``ceiling`` and :data:`MAX_UNITS`) are checked by :func:`check_admission`
+on the server's submit path, so the CLI runs any size the lowering
+accepts; quota and backpressure are the server's alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Any, Callable, Sequence
 
 from repro.core.config import (
@@ -65,21 +72,6 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 #: Hard per-job unit ceiling the server admits — admission control guards
 #: the queue, this guards a single request from monopolizing it.
 MAX_UNITS = 1024
-
-#: Per-field ceilings the server admits.  Like :data:`MAX_UNITS` they
-#: guard the queue, not validity, so the CLI is not bound by them.
-SERVER_LIMITS: dict[str, dict[str, float]] = {
-    "sweep": {
-        "scale": 4.0, "num_threads": 64, "num_blocks": 16,
-        "cores_per_block": 16,
-    },
-    "gen": {"threads": 32, "footprint_lines": 64, "rounds": 16},
-    "chaos": {"plans": 100, "scale": 4.0},
-    "lint": {"scale": 4.0},
-    "fleet": {"scenarios": 256},
-}
-
-_SENTINEL = object()
 
 
 class JobError(ValueError):
@@ -128,81 +120,256 @@ def _expect(cond: bool, message: str) -> None:
         raise JobError(message)
 
 
-def _only(spec: dict, kind: str, fields: Sequence[str]) -> None:
-    """Reject any spec key the kind does not define."""
-    for key in spec:
-        _expect(key in fields, f"spec.{key} is not a {kind} field")
+# -- spec fields -------------------------------------------------------------
 
 
-def _get(spec: dict, name: str, default=_SENTINEL, *, types=None):
-    """Fetch ``spec[name]`` with a default and an optional type check."""
-    value = spec.get(name, default)
-    if value is _SENTINEL:
-        raise JobError(f"spec.{name} is required")
-    if value is not default and types is not None:
-        allows_bool = types is bool or (
-            isinstance(types, tuple) and bool in types
-        )
-        if not isinstance(value, types) or (
-            isinstance(value, bool) and not allows_bool
-        ):
-            want = (
-                types.__name__
-                if isinstance(types, type)
-                else "/".join(t.__name__ for t in types)
+@dataclass(frozen=True)
+class Field:
+    """One spec field of a job kind, stated once for both transports.
+
+    :meth:`read` is how the lowering gets it: a field the spec leaves out
+    (or sets to ``null`` when it has no default) takes ``default``; a given
+    value must have ``type`` (``list`` is a non-empty list of names), lie
+    in ``choices()`` and clear ``low`` (``>= low`` for an int, ``> low``
+    for a float).  ``ceiling`` is the largest value the server admits
+    (:func:`check_admission`).  The CLI declares ``flag`` (an option such
+    as ``--plans``, or a positional's name) with the argparse keywords in
+    ``cli`` and default ``None``, so an unset flag leaves the field out of
+    the spec; ``from_cli`` turns a set flag's value into the field's.
+    """
+
+    name: str
+    type: type
+    help: str
+    default: Any = None
+    required: bool = False
+    low: float | None = None
+    ceiling: float | None = None
+    choices: Callable[[], Sequence[str]] | None = None
+    flag: str | None = None
+    cli: dict = field(default_factory=dict)
+    from_cli: Callable[[Any], Any] | None = None
+
+    def read(self, spec: dict) -> Any:
+        """This field's value in *spec*, checked, or its default."""
+        where, value = f"spec.{self.name}", spec.get(self.name)
+        if value is None and (self.name not in spec or self.default is None):
+            _expect(not self.required, f"{where} is required")
+            value = self.default
+            return list(value) if isinstance(value, list) else value
+        if self.type is list:
+            _expect(
+                isinstance(value, list) and bool(value)
+                and all(isinstance(v, str) for v in value),
+                f"{where} must be a non-empty list of names",
             )
-            raise JobError(
-                f"spec.{name} must be {want} (got {type(value).__name__})"
+        else:
+            want = (int, float) if self.type is float else self.type
+            _expect(
+                isinstance(value, want)
+                and (self.type is bool or not isinstance(value, bool)),
+                f"{where} must be "
+                f"{'int/float' if self.type is float else self.type.__name__}"
+                f" (got {type(value).__name__})",
             )
-    return value
+        if self.type is float:
+            value = float(value)
+            _expect(self.low is None or value > self.low,
+                    f"{where} must be > {self.low:g}")
+        elif self.low is not None:
+            _expect(value >= self.low, f"{where} must be >= {self.low}")
+        if self.choices is not None:
+            names = self.choices()
+            for v in value if self.type is list else (value,):
+                _expect(v in names, f"{where} must be one of {'|'.join(names)}")
+        return list(value) if self.type is list else value
 
 
-def _count(spec: dict, name: str, default: int) -> int:
-    """A positive int field."""
-    value = _get(spec, name, default, types=int)
-    _expect(value >= 1, f"spec.{name} must be >= 1")
-    return value
+# ``Field.from_cli`` converters.  Each docstring is the converter's entry
+# in docs/SERVICE.md's generated flag table.
 
 
-def _scale(spec: dict, default: float = 1.0) -> float:
-    """A positive ``scale`` field."""
-    value = float(_get(spec, "scale", default, types=(int, float)))
-    _expect(value > 0.0, "spec.scale must be > 0")
-    return value
+def _one(value: str) -> list[str]:
+    """a one-element list"""
+    return [value]
 
 
-def _engine(spec: dict) -> str | None:
+def _csv(value: str) -> list[str] | None:
+    """split at commas"""
+    return [n for n in value.split(",") if n] or None
+
+
+def _given(values: list[str]) -> list[str] | None:
+    """left out when empty"""
+    return values or None
+
+
+def _all_unless_named(kernels: list[str]) -> bool | None:
+    """true when no kernel is named"""
+    return None if kernels else True
+
+
+def _off(_: bool) -> bool:
+    """false"""
+    return False
+
+
+@cache
+def _field_tables() -> dict[str, tuple[Field, ...]]:
+    """Every job kind's spec fields, in the order the CLI lists their flags.
+
+    ``litmus matrix`` is a ``litmus`` spec with ``matrix: true``, which
+    takes its own fields.  Built on first use: the choices and some
+    defaults live in modules a plain import of this one should not load.
+    """
+    from repro.common.rng import DEFAULT_SEED
     from repro.engines import available_engines
-
-    engine = _get(spec, "engine", None, types=str)
-    if engine is not None:
-        _expect(
-            engine in available_engines(),
-            f"spec.engine must be {'|'.join(available_engines())}",
-        )
-    return engine
-
-
-def _model(spec: dict, *, software: bool = False) -> str | None:
-    """The optional ``model`` field; *software* excludes the HCC model."""
+    from repro.faults.chaos import CHAOS_SCALE
     from repro.models import available_models, software_models
+    from repro.workloads.gen import PATTERNS, ScenarioSpec
 
-    model = _get(spec, "model", None, types=str)
-    if model is not None:
-        names = software_models() if software else available_models()
-        _expect(model in names, f"spec.model must be one of {'|'.join(names)}")
-    return model
+    seed = partial(Field, "seed", int, default=DEFAULT_SEED, flag="--seed")
+    scale = partial(Field, "scale", float, low=0.0, ceiling=4.0, flag="--scale")
+    model = partial(Field, "model", str, choices=software_models, flag="--model")
+    names = partial(Field, type=list, cli={"metavar": "NAME,NAME"},
+                    from_cli=_csv)
 
+    def engine(help: str) -> Field:
+        return Field("engine", str, f"{help} (default: $REPRO_ENGINE or ref)",
+                     choices=available_engines, flag="--engine")
 
-def _name_list(spec: dict, name: str, *, default=None) -> list[str]:
-    values = _get(spec, name, default, types=list)
-    if values is None:
-        return []
-    _expect(
-        bool(values) and all(isinstance(v, str) for v in values),
-        f"spec.{name} must be a non-empty list of names",
+    kernels = Field(
+        "kernels", list, "litmus kernel names (default: every registered "
+        "kernel)", flag="kernel", cli={"nargs": "*"}, from_cli=_given,
     )
-    return list(values)
+    matrix = Field("matrix", bool, "compile the (model x kernel x engine) "
+                   "conformance grid instead", False, flag="--matrix")
+    return {
+        "sweep": (
+            Field("apps", list, "workloads: all Model-1 (the intra-block "
+                  "machine) or all Model-2 (the inter-block one)",
+                  required=True, flag="workload", from_cli=_one),
+            Field("configs", list, "Table II configs of that machine (the "
+                  "CLI's default: B+M+I or Addr+L)", required=True,
+                  flag="--config", from_cli=_one),
+            scale("workload scale", 1.0),
+            Field("num_threads", int, "intra-block threads", 16, low=1,
+                  ceiling=64),
+            Field("num_blocks", int, "inter-block blocks", 4, low=1,
+                  ceiling=16),
+            Field("cores_per_block", int, "inter-block cores per block", 8,
+                  low=1, ceiling=16),
+            engine("simulator core of every cell"),
+            model("memory model for the software-coherent cells (default: "
+                  "$REPRO_MODEL or base; HCC cells always run MESI); the "
+                  "result cache keys on it"),
+            Field("memory_digest", bool, "record each cell's final-memory "
+                  "digest", False),
+        ),
+        "gen": (
+            Field("pattern", str, "sharing pattern (see --list-patterns)",
+                  required=True, choices=lambda: PATTERNS, flag="pattern",
+                  cli={"nargs": "?"}),
+            seed("scenario seed"),
+            Field("threads", int, "threads", ScenarioSpec.threads, low=2,
+                  ceiling=32, flag="--threads"),
+            Field("footprint_lines", int, "shared-data footprint in cache "
+                  "lines", ScenarioSpec.footprint_lines, low=1, ceiling=64,
+                  flag="--footprint", cli={"metavar": "LINES"}),
+            Field("rounds", int, "rounds", ScenarioSpec.rounds, low=1,
+                  ceiling=16, flag="--rounds"),
+            Field("skew", float, "Zipf exponent for zipf_hot",
+                  ScenarioSpec.skew, low=0.0, flag="--skew"),
+            Field("configs", list, "Table II intra configs (--config names "
+                  "one)", ["B+M+I"], flag="--config", from_cli=_one),
+            engine("simulator core"),
+        ),
+        "litmus": (
+            matrix,
+            kernels,
+            Field("all", bool, "run every registered kernel", False,
+                  flag="kernel", from_cli=_all_unless_named),
+            model("memory model for direct runs (default: $REPRO_MODEL or "
+                  "base)", choices=available_models),
+            engine("simulator core for direct runs"),
+        ),
+        "litmus matrix": (
+            matrix,
+            kernels,
+            names("models", help="the grid's model axis (default: every "
+                  "registered model)", flag="--models"),
+            names("engines", help="the grid's engine axis (default: every "
+                  "registered engine)", flag="--engines"),
+        ),
+        "chaos": (
+            Field("workloads", list, "chaos targets: a workload or "
+                  "litmus-kernel name, 'litmus' for every determinate "
+                  "kernel, or 'tiny' for the small-cache pressure target "
+                  "(default: litmus + fft + lu_cont + is + tiny)",
+                  flag="--workload",
+                  cli={"action": "append", "metavar": "NAME"}),
+            Field("plans", int, "number of seeded random fault plans", 3,
+                  low=1, ceiling=100, flag="--plans"),
+            seed("root seed for plan generation; the whole sweep "
+                 "reproduces from this one value"),
+            names("faults", help="restrict plans to these fault kinds (see "
+                  "--list-faults; default: all kinds)", flag="--faults",
+                  cli={"metavar": "KIND,KIND"}),
+            scale("workload scale of every chaos cell", CHAOS_SCALE),
+            engine("simulator core of every chaos cell, the HCC reference "
+                   "included"),
+            model("memory model for the software-coherent chaos cells "
+                  "(default: $REPRO_MODEL or base); HCC reference cells are "
+                  "unaffected"),
+        ),
+        "lint": (
+            Field("workloads", list, "workload or litmus-kernel names (see "
+                  "`repro list`)", flag="workload", cli={"nargs": "*"},
+                  from_cli=_given),
+            Field("all_workloads", bool, "lint every shipped SPLASH/NAS "
+                  "workload", False, flag="--all-workloads"),
+            Field("config", str, "Table II config to analyze under "
+                  "(default: Base intra, Addr inter; HCC is rejected — "
+                  "nothing to lint)", flag="--config"),
+            model("memory model whose lint profile parameterizes the rule "
+                  "catalog: findings of rules that model discharges in the "
+                  "protocol are waived (litmus expectations are documented "
+                  "for base)", "base"),
+            scale("workload scale", 0.5),
+        ),
+        "fleet": (
+            Field("scenarios", int, "number of sampled scenarios", 8, low=1,
+                  ceiling=256, flag="--scenarios", cli={"metavar": "N"}),
+            seed("root seed for scenario sampling; the whole fleet "
+                 "reproduces from this one value"),
+            names("engines", help="simulator cores to cross-check",
+                  default=["ref"], choices=available_engines,
+                  flag="--engines"),
+            names("configs", help="software-coherent Table II intra "
+                  "configs; the HCC reference is implicit",
+                  default=["Base", "B+M+I"], flag="--configs"),
+            Field("lint", bool, "run the static Section IV-A lint pass "
+                  "(--no-lint skips it)", True, flag="--no-lint",
+                  from_cli=_off),
+        ),
+    }
+
+
+def spec_fields(kind: str) -> tuple[Field, ...]:
+    """The spec fields of *kind* (a :data:`JOB_KINDS` name or ``litmus matrix``)."""
+    return _field_tables()[kind]
+
+
+def read_spec(kind: str, spec: dict) -> dict[str, Any]:
+    """Every field of *kind* read from *spec* by :meth:`Field.read`.
+
+    A key the kind does not define is a 400 naming it.
+    """
+    fields = spec_fields(kind)
+    known = {f.name for f in fields}
+    for key in spec:
+        _expect(key in known, f"spec.{key} is not a {kind} field")
+    return {f.name: f.read(spec) for f in fields}
 
 
 def _configs(names: Sequence[str], kind: str) -> list:
@@ -242,26 +409,17 @@ def _compile_sweep(spec: dict) -> CompiledJob:
     The apps decide the machine: Model-1 (SPLASH) apps sweep the
     intra-block machine, Model-2 (NAS) apps the inter-block one.
     """
-    _only(spec, "sweep", (
-        "apps", "configs", "scale", "engine", "model", "memory_digest",
-        "num_threads", "num_blocks", "cores_per_block",
-    ))
-    apps = _name_list(spec, "apps", default=_SENTINEL)
+    v = read_spec("sweep", spec)
+    apps = v["apps"]
     kind = _sweep_kind(apps)
-    configs = _configs(_name_list(spec, "configs"), kind)
-    kwargs: dict[str, Any] = {"scale": _scale(spec)}
-    if kind == "intra":
-        kwargs["num_threads"] = _count(spec, "num_threads", 16)
-    else:
-        kwargs["num_blocks"] = _count(spec, "num_blocks", 4)
-        kwargs["cores_per_block"] = _count(spec, "cores_per_block", 8)
-    engine = _engine(spec)
-    if engine is not None:
-        kwargs["engine"] = engine
-    model = _model(spec, software=True)
-    if model is not None:
-        kwargs["model"] = model
-    if _get(spec, "memory_digest", False, types=bool):
+    configs = _configs(v["configs"], kind)
+    machine = ("num_threads",) if kind == "intra" else (
+        "num_blocks", "cores_per_block",
+    )
+    kwargs: dict[str, Any] = {"scale": v["scale"]}
+    kwargs.update((k, v[k]) for k in machine)
+    kwargs.update((k, v[k]) for k in ("engine", "model") if v[k] is not None)
+    if v["memory_digest"]:
         kwargs["memory_digest"] = True
     units = [
         Unit(
@@ -290,28 +448,21 @@ def _compile_sweep(spec: dict) -> CompiledJob:
 
 def _compile_gen(spec: dict) -> CompiledJob:
     """``gen``: one seeded scenario under one or more intra configs."""
-    from repro.common.rng import DEFAULT_SEED
-    from repro.workloads.gen import PATTERNS, ScenarioSpec
+    from repro.workloads.gen import ScenarioSpec
 
-    _only(spec, "gen", (
-        "pattern", "seed", "threads", "footprint_lines", "rounds", "skew",
-        "configs", "engine",
-    ))
-    pattern = _get(spec, "pattern", types=str)
-    _expect(pattern in PATTERNS, f"spec.pattern must be one of {PATTERNS}")
+    v = read_spec("gen", spec)
     sspec = ScenarioSpec(
-        pattern=pattern,
-        seed=_get(spec, "seed", DEFAULT_SEED, types=int),
-        threads=_get(spec, "threads", 4, types=int),
-        footprint_lines=_get(spec, "footprint_lines", 4, types=int),
-        rounds=_get(spec, "rounds", 2, types=int),
-        skew=float(_get(spec, "skew", 1.2, types=(int, float))),
+        pattern=v["pattern"],
+        seed=v["seed"],
+        threads=v["threads"],
+        footprint_lines=v["footprint_lines"],
+        rounds=v["rounds"],
+        skew=v["skew"],
     )
-    configs = _configs(_name_list(spec, "configs", default=["B+M+I"]), "intra")
-    engine = _engine(spec)
+    configs = _configs(v["configs"], "intra")
     kwargs: dict[str, Any] = {"spec": sspec, "memory_digest": True}
-    if engine is not None:
-        kwargs["engine"] = engine
+    if v["engine"] is not None:
+        kwargs["engine"] = v["engine"]
     units = [
         Unit(
             f"{sspec.name}/{cfg.name}",
@@ -352,25 +503,17 @@ def _compile_litmus(spec: dict) -> CompiledJob:
     """
     from repro.workloads.litmus import LITMUS
 
-    if _get(spec, "matrix", False, types=bool):
+    if spec.get("matrix") is True:
         return _compile_litmus_matrix(spec)
-    _only(spec, "litmus", ("matrix", "all", "kernels", "engine", "model"))
-    if _get(spec, "all", False, types=bool):
-        kernels = list(LITMUS)
-    else:
-        kernels = _name_list(spec, "kernels")
+    v = read_spec("litmus", spec)
+    kernels = list(LITMUS) if v["all"] else v["kernels"] or []
     for name in kernels:
         _expect(name in LITMUS, f"unknown litmus kernel {name!r}")
-    engine = _engine(spec)
-    model = _model(spec)
+    kwargs: dict[str, Any] = {"memory_digest": True}
+    kwargs.update((k, v[k]) for k in ("engine", "model") if v[k] is not None)
     units = []
     for name in kernels:
         config = INTER_ADDR_L if LITMUS[name].model == "inter" else INTRA_BMI
-        kwargs: dict[str, Any] = {"memory_digest": True}
-        if engine is not None:
-            kwargs["engine"] = engine
-        if model is not None:
-            kwargs["model"] = model
         units.append(
             Unit(
                 f"litmus:{name}/{config.name}",
@@ -395,11 +538,9 @@ def _compile_litmus_matrix(spec: dict) -> CompiledJob:
     """``litmus`` + ``matrix: true``: the memory-model verdict grid."""
     from repro.models.matrix import assemble_matrix, matrix_axes, matrix_cells
 
-    _only(spec, "litmus matrix", ("matrix", "models", "engines", "kernels"))
+    v = read_spec("litmus matrix", spec)
     models, kernels, engines = matrix_axes(
-        _name_list(spec, "models"),
-        _name_list(spec, "kernels"),
-        _name_list(spec, "engines"),
+        v["models"], v["kernels"], v["engines"]
     )
     cells, oracle_idx, grid_idx = matrix_cells(models, kernels, engines)
     units = [
@@ -428,32 +569,23 @@ def _compile_litmus_matrix(spec: dict) -> CompiledJob:
 
 def _compile_chaos(spec: dict) -> CompiledJob:
     """``chaos``: seeded fault plans over the degraded-verification matrix."""
-    from repro.common.rng import DEFAULT_SEED
     from repro.faults.chaos import assemble_chaos, chaos_cells, default_targets
     from repro.faults.model import FaultKind, random_plans
     from repro.faults.report import summarize
 
-    _only(spec, "chaos", (
-        "plans", "seed", "faults", "workloads", "scale", "model", "engine",
-    ))
-    num_plans = _get(spec, "plans", 3, types=int)
-    seed = _get(spec, "seed", DEFAULT_SEED, types=int)
+    v = read_spec("chaos", spec)
     kinds = None
-    fault_names = _name_list(spec, "faults")
-    if fault_names:
+    if v["faults"]:
         try:
-            kinds = [FaultKind(k) for k in fault_names]
+            kinds = [FaultKind(k) for k in v["faults"]]
         except ValueError as exc:
             raise JobError(
                 f"{exc} (see `repro chaos --list-faults`)"
             ) from None
     targets = default_targets(
-        _name_list(spec, "workloads") or None,
-        scale=_scale(spec, 0.5),
-        model=_model(spec, software=True),
-        engine=_engine(spec),
+        v["workloads"], scale=v["scale"], model=v["model"], engine=v["engine"],
     )
-    plans = random_plans(num_plans, seed=seed, kinds=kinds)
+    plans = random_plans(v["plans"], seed=v["seed"], kinds=kinds)
     cells = chaos_cells(targets, plans)
     units = [
         Unit(f"chaos:{cell.kind}:{cell.app}/{cell.config.name}", cell=cell)
@@ -467,25 +599,25 @@ def _compile_chaos(spec: dict) -> CompiledJob:
 
     return CompiledJob(
         "chaos", spec, units, finalize,
-        f"{len(targets)} target(s) x {num_plans} plan(s)",
+        f"{len(targets)} target(s) x {len(plans)} plan(s)",
     )
 
 
-def lint_targets(spec: dict) -> list[tuple[str, str, Any]]:
-    """Resolve a ``lint`` spec's targets to ``(kind, name, config)``.
+def lint_targets(v: dict) -> list[tuple[str, str, Any]]:
+    """Resolve a read ``lint`` spec's targets to ``(kind, name, config)``.
 
-    ``kind`` is the sweep kind: ``intra`` (SPLASH), ``inter`` (NAS) or
-    ``litmus``; ``config`` is the Table II configuration the target is
-    analyzed under (``config`` field, else Base intra / Addr inter — never
-    HCC).
+    *v* is ``read_spec("lint", spec)``.  ``kind`` is the sweep kind:
+    ``intra`` (SPLASH), ``inter`` (NAS) or ``litmus``; ``config`` is the
+    Table II configuration the target is analyzed under (``config`` field,
+    else Base intra / Addr inter — never HCC).
     """
     from repro.workloads.litmus import LITMUS
 
     targets: list[tuple[str, str]] = []
-    if _get(spec, "all_workloads", False, types=bool):
+    if v["all_workloads"]:
         targets += [("intra", n) for n in sorted(MODEL_ONE)]
         targets += [("inter", n) for n in sorted(MODEL_TWO)]
-    for name in _name_list(spec, "workloads"):
+    for name in v["workloads"] or ():
         if name in MODEL_ONE:
             targets.append(("intra", name))
         elif name in MODEL_TWO:
@@ -498,12 +630,11 @@ def lint_targets(spec: dict) -> list[tuple[str, str, Any]]:
                 "(try `repro list`)"
             )
     _expect(bool(targets), "spec.workloads or spec.all_workloads required")
-    config_name = _get(spec, "config", None, types=str)
     out = []
     for kind, name in targets:
         model = LITMUS[name].model if kind == "litmus" else kind
         [config] = _configs(
-            [config_name or ("Base" if model == "intra" else "Addr")], model
+            [v["config"] or ("Base" if model == "intra" else "Addr")], model
         )
         _expect(
             not config.hardware_coherent,
@@ -555,18 +686,12 @@ def _lint_one(kind: str, name: str, config, scale: float, model: str) -> dict:
 
 def _compile_lint(spec: dict) -> CompiledJob:
     """``lint``: the Section IV-A static analyzer over named targets."""
-    from functools import partial
-
-    _only(spec, "lint", (
-        "workloads", "all_workloads", "config", "scale", "model",
-    ))
-    targets = lint_targets(spec)
-    scale = _scale(spec, 0.5)
-    model = _model(spec, software=True) or "base"
+    v = read_spec("lint", spec)
+    targets = lint_targets(v)
     units = [
         Unit(
             f"lint:{name}/{config.name}",
-            fn=partial(_lint_one, kind, name, config, scale, model),
+            fn=partial(_lint_one, kind, name, config, v["scale"], v["model"]),
         )
         for kind, name, config in targets
     ]
@@ -587,25 +712,13 @@ def _compile_lint(spec: dict) -> CompiledJob:
 
 def _compile_fleet(spec: dict) -> CompiledJob:
     """``fleet``: N sampled scenarios × configs × engines, verdict-gated."""
-    from repro.common.rng import DEFAULT_SEED
-    from repro.engines import available_engines
     from repro.eval.fleet import fleet_cells, fleet_verdict
     from repro.workloads.gen import sample_specs
 
-    _only(spec, "fleet", ("scenarios", "seed", "configs", "engines", "lint"))
-    num = _get(spec, "scenarios", 8, types=int)
-    seed = _get(spec, "seed", DEFAULT_SEED, types=int)
-    configs = _configs(
-        _name_list(spec, "configs", default=["Base", "B+M+I"]), "intra"
-    )
-    engines = _name_list(spec, "engines", default=["ref"])
-    for engine in engines:
-        _expect(
-            engine in available_engines(),
-            f"spec.engines must be {'|'.join(available_engines())}",
-        )
-    lint = _get(spec, "lint", True, types=bool)
-    specs = sample_specs(num, seed=seed)
+    v = read_spec("fleet", spec)
+    configs = _configs(v["configs"], "intra")
+    engines = v["engines"]
+    specs = sample_specs(v["scenarios"], seed=v["seed"])
     cells = fleet_cells(specs, configs=configs, engines=engines)
     units = [
         Unit(f"fleet:{cell.app}/{cell.config.name}", cell=cell)
@@ -614,14 +727,14 @@ def _compile_fleet(spec: dict) -> CompiledJob:
 
     def finalize(results: list) -> dict:
         verdict = fleet_verdict(
-            specs, results, configs=configs, engines=engines, lint=lint
+            specs, results, configs=configs, engines=engines, lint=v["lint"]
         )
         verdict["kind"] = "fleet"
         return verdict
 
     return CompiledJob(
         "fleet", spec, units, finalize,
-        f"{num} scenario(s) x {len(configs)} config(s) x "
+        f"{len(specs)} scenario(s) x {len(configs)} config(s) x "
         f"{len(engines)} engine(s)",
     )
 
@@ -665,12 +778,13 @@ def compile_job(payload: Any) -> CompiledJob:
 
 def check_admission(job: CompiledJob) -> None:
     """Reject (400) a valid job too large for the server to queue."""
-    for name, hi in SERVER_LIMITS.get(job.kind, {}).items():
-        value = job.spec.get(name)
-        _expect(
-            value is None or value <= hi,
-            f"spec.{name} must be at most {hi:g} on the server",
-        )
+    for f in spec_fields(job.kind):
+        value = job.spec.get(f.name)
+        if f.ceiling is not None and value is not None:
+            _expect(
+                value <= f.ceiling,
+                f"spec.{f.name} must be at most {f.ceiling:g} on the server",
+            )
     _expect(
         len(job.units) <= MAX_UNITS,
         f"job compiles to {len(job.units)} units (max {MAX_UNITS})",

@@ -15,8 +15,8 @@ that are being SIGKILLed underneath it.
 
 :func:`bench_payloads` is the drill's job set: single-cell sweeps cycling
 app x config x threads.  :func:`_direct_results` is its ground truth: the
-same cells run directly on a local
-:class:`~repro.eval.parallel.SweepExecutor`, with no server, so every
+same jobs compiled and run locally (:func:`~repro.serve.jobs.run_job` on a
+:class:`~repro.eval.parallel.SweepExecutor`), with no server, so every
 served result can be compared bit-for-bit.
 """
 
@@ -29,10 +29,9 @@ import time
 from dataclasses import dataclass
 
 from repro.common.rng import DEFAULT_SEED, make_rng
-from repro.core.config import intra_config
 from repro.eval.cache import ResultCache
-from repro.eval.parallel import SweepCell, SweepExecutor
-from repro.serve.jobs import JOB_SCHEMA
+from repro.eval.parallel import SweepExecutor
+from repro.serve.jobs import JOB_SCHEMA, compile_job, run_job
 from repro.serve.server import JobServer, ServerConfig
 
 #: Small/fast Model-1 workloads the drill's job set cycles through
@@ -294,17 +293,19 @@ def bench_payloads(jobs: int, *, scale: float) -> list[dict]:
 
 
 def _direct_results(payloads: list[dict], cache_dir: str) -> dict[str, dict]:
-    """Ground truth: run every distinct payload cell directly, no server."""
-    seen: dict[str, SweepCell] = {}
+    """Ground truth: run every distinct payload's job directly, no server.
+
+    Each job is lowered by :func:`~repro.serve.jobs.compile_job` and run
+    by :func:`~repro.serve.jobs.run_job`, exactly as the server would.
+    """
+    seen: dict[str, dict] = {}
     for p in payloads:
         spec = p["spec"]
-        app, cfg = spec["apps"][0], spec["configs"][0]
-        cell = SweepCell.make(
-            "intra", app, intra_config(cfg),
-            scale=spec["scale"], num_threads=spec["num_threads"],
-        )
-        seen.setdefault(f"{app}/{cfg}/t{spec['num_threads']}", cell)
-    keys = sorted(seen)
+        key = f"{spec['apps'][0]}/{spec['configs'][0]}/t{spec['num_threads']}"
+        seen.setdefault(key, p)
     ex = SweepExecutor(jobs=1, cache=ResultCache(cache_dir))
-    results = ex.run_cells([seen[k] for k in keys])
-    return {k: r.to_dict() for k, r in zip(keys, results)}
+    truth = {}
+    for key in sorted(seen):
+        [row] = run_job(compile_job(seen[key]), ex)["matrix"].values()
+        [truth[key]] = row.values()
+    return truth

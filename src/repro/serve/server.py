@@ -95,6 +95,19 @@ class ServerConfig:
     journal_dir: str | None = None  # None = no write-ahead journal
     resume: bool = False  # replay the journal and requeue open jobs
 
+    def __post_init__(self) -> None:
+        """Reject a setting that would break every job (or bind elsewhere)."""
+        for name, ok, rule in (
+            ("port", 0 <= self.port <= 65535, "be in 0..65535"),
+            ("quota", self.quota >= 1, "be >= 1"),
+            ("queue_limit", self.queue_limit >= 1, "be >= 1"),
+            ("timeout", self.timeout is None or self.timeout > 0, "be > 0"),
+        ):
+            if not ok:
+                raise ConfigError(
+                    f"{name} must {rule} (got {getattr(self, name)!r})"
+                )
+
 
 class Job:
     """One submitted job: units, lifecycle state, counters, event log."""

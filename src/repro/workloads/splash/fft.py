@@ -136,11 +136,12 @@ class FFT(ModelOneWorkload):
             )
         self.src = machine.array("fft_src", self.n)
         self.work = machine.array("fft_work", self.n)
-        mem = machine.hier.memory
-        for i, v in enumerate(self.input):
-            mem.write_word(self.src.addr(i) // 4, v)
-        #: Work-array element addresses, shared by every thread.
+        #: Source- and work-array element addresses, shared by every thread.
+        self._saddrs = tuple(self.src.addr(i) for i in range(self.n))
         self._waddrs = tuple(self.work.addr(i) for i in range(self.n))
+        mem = machine.hier.memory
+        for addr, v in zip(self._saddrs, self.input):
+            mem.write_word(addr // 4, v)
         machine.spawn_all(self._program)
 
     def _program(self, ctx):
@@ -148,7 +149,7 @@ class FFT(ModelOneWorkload):
         t, nt = ctx.tid, ctx.nthreads
         chunk = n // nt
         lo, hi = t * chunk, (t + 1) * chunk
-        src_addr, waddrs = self.src.addr, self._waddrs
+        saddrs, waddrs = self._saddrs, self._waddrs
 
         # Epoch 0: bit-reversal permutation into the work array.  Each
         # thread writes its chunk of the destination, reading scattered
@@ -158,7 +159,7 @@ class FFT(ModelOneWorkload):
         rev = self.rev
         yield isa.MapBatch(lo, hi, ((
             _copy,
-            (tuple(src_addr(rev[i]) for i in range(lo, hi)),),
+            (tuple(map(saddrs.__getitem__, rev[lo:hi])),),
             waddrs[lo:hi],
         ),))
         yield from ctx.barrier()
