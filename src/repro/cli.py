@@ -428,16 +428,21 @@ def _cmd_lint(args) -> int:
     import json
 
     from repro.analysis import render_report
+    from repro.common.errors import ConfigError
     from repro.workloads.litmus import LITMUS
 
     spec = spec_from_args("lint", args)
-    if args.all_workloads:
-        spec.pop("workloads", None)  # --all-workloads wins over names
-    elif args.litmus:
+    given = [flag for flag, on in (("--all-workloads", args.all_workloads),
+                                   ("--litmus", args.litmus)) if on]
+    given += spec.get("workloads", [])
+    if len(given) > 1 and (args.all_workloads or args.litmus):
+        raise ConfigError(
+            f"{' and '.join(given)}: lint takes named targets, "
+            "--all-workloads or --litmus, only one of them"
+        )
+    if args.litmus:
         spec["workloads"] = list(LITMUS)
-    elif "workloads" not in spec:
-        from repro.common.errors import ConfigError
-
+    elif not given:
         raise ConfigError(
             "nothing to lint: name a workload/litmus kernel, or pass "
             "--all-workloads / --litmus"

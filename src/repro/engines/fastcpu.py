@@ -62,11 +62,45 @@ Bit-identity argument, per fused path (vs. the reference protocols):
   S→M upgrade) go to ``MESIProtocol.write``; so does every miss.
 
 All other cases take the exact reference code path.
+
+Line blocks.  A ``MapBatch`` whose every read and write column is a
+one-word-stride ``range`` (an affine loop chunk) runs a *line block* at a
+time: the iterations up to the nearest line boundary of any column.  The
+line-level hit rule: a column's line serves the whole block inline when,
+on entry, ``admit`` passes, the line is resident, and — for a read in an
+IEB-armed epoch — it is in the IEB, or — for a write — it is in the
+store state.  Within a block nothing evicts, fills, refreshes or
+delegates, so those facts hold for every word of the block, and the
+block leaves the per-word path's state:
+
+* LRU stamps: each resident slot gets the stamp of its last access in the
+  block, ``base + position`` with every column counted in row order, and
+  the counter advances by the block's word count — the values per-word
+  stamping leaves, since the block's last iteration wins.
+* hits: ``nb × words``, one per access, as per word.
+* ``fresh`` (rc) stays a per-word check, made before the block runs: only
+  a store makes a word fresh, so a word fresh then is fresh when read, and
+  the first stale word ends the block there.
+* MEB: each written line is recorded once per block, in the order its
+  first clean word turns dirty (store order within an iteration breaks
+  ties); ``record_write`` ignores a line it holds, so later per-word
+  records change nothing, even on overflow or an injected fault.
+* ``on_write`` (rc's region set insert) once per written line per block:
+  idempotent.
+* fallback: an iteration whose column misses, flips (sisd), needs an IEB
+  refresh, is not in the store state or reads a stale word runs as one
+  per-word row — the exact path above — and every column resolves again
+  after it, so fills, delegation, faults and flips keep one
+  implementation.  Columns resolve in row order, so ``admit`` first sees
+  each line in the per-word order.
 """
 
 from __future__ import annotations
 
+import functools
+
 from repro.coherence.base import Protocol
+from repro.common.params import WORD_BYTES
 from repro.core.cpu import CPU
 from repro.isa import ops as isa
 from repro.mem.line import CacheLine
@@ -76,6 +110,195 @@ from repro.sim.stats import StallCat, TrafficCat
 def _defined_in(cls: type, name: str) -> type:
     """The class in *cls*'s MRO whose body defines attribute *name*."""
     return next(k for k in cls.__mro__ if name in vars(k))
+
+
+@functools.lru_cache(maxsize=256)
+def _line_entries(words_per_line: int, firsts: tuple[int, ...]):
+    """``(enters, span)`` for one-word-stride columns whose iteration-0
+    words are *firsts*.
+
+    Column c is at word ``(firsts[c] + t) % words_per_line`` of its line
+    in iteration t, so it enters a new line whenever that word is 0.
+    Which columns enter at t therefore depends on t's residue r only
+    (``enters[r]``), and so does the number of iterations until the next
+    column enters one (``span[r]``).
+    """
+    wmask = words_per_line - 1
+    enters = tuple(
+        tuple(c for c, first in enumerate(firsts) if (first + r) & wmask == 0)
+        for r in range(words_per_line)
+    )
+    span = []
+    for r in range(words_per_line):
+        k = 1
+        while not enters[(r + k) & wmask]:
+            k += 1
+        span.append(k)
+    return enters, tuple(span)
+
+
+class _LineBlocks:
+    """One affine ``MapBatch`` chunk, run a line block at a time.
+
+    A block is a run of iterations in which no column leaves its L1 line.
+    A column's line is resolved as the column enters it: admitted,
+    resident, in the IEB (a read in an armed epoch) or in the store state
+    (a write).  :meth:`run` stops at the first iteration a block cannot
+    serve and hands it to the per-word path as :meth:`row`; every column
+    resolves again when it resumes.  The module doc argues that a block
+    leaves the per-word path's state.
+    """
+
+    __slots__ = (
+        "lo", "n", "starts", "assigns", "is_write", "reads", "writes",
+        "lone", "firsts", "enters", "span", "words_per_line",
+    )
+
+    @classmethod
+    def of(cls, op: isa.MapBatch, words_per_line: int) -> _LineBlocks | None:
+        """*op*'s blocks when every read and write column is a
+        one-word-stride ``range`` of the chunk's length; ``None``
+        otherwise (gathers, tuple columns, other strides)."""
+        n = op.hi - op.lo
+        starts = []
+        # Per assignment: fn, its read columns, its write column, in
+        # ``plan``'s row order.
+        assigns = []
+        is_write = []
+        for fn, reads, writes in op.body:
+            for col in (*reads, writes):
+                if type(col) is not range or col.step != WORD_BYTES or len(col) != n:
+                    return None
+                starts.append(col.start)
+            c = len(is_write)
+            assigns.append((fn, range(c, c + len(reads)), c + len(reads)))
+            is_write += [False] * len(reads) + [True]
+        if not starts:
+            return None
+        blocks = cls()
+        blocks.lo = op.lo
+        blocks.n = n
+        blocks.starts = starts
+        blocks.assigns = assigns
+        blocks.is_write = is_write
+        blocks.reads = [c for c, w in enumerate(is_write) if not w]
+        blocks.writes = [c for c, w in enumerate(is_write) if w]
+        blocks.lone = len(assigns) == 1
+        wmask = words_per_line - 1
+        blocks.firsts = [(s >> 2) & wmask for s in starts]
+        blocks.enters, blocks.span = _line_entries(words_per_line, tuple(blocks.firsts))
+        blocks.words_per_line = words_per_line
+        return blocks
+
+    def row(self, t: int) -> tuple[int, ...]:
+        """Iteration *t* as the per-word path's row (``plan``'s layout)."""
+        return (self.lo + t, *[s + (t << 2) for s in self.starts])
+
+    def run(self, t: int, armed: bool, hooks, l1) -> tuple[int, int]:
+        """Run blocks from iteration *t* up to the first iteration a block
+        cannot serve (or the end); return it and the L1 hits the blocks
+        made.  Takes the LRU stamp counter from ``l1._stamp`` and leaves
+        it there, as a delegated access does."""
+        admit, fresh, _, on_write, wstate, ieb, meb, _ = hooks
+        meb_record = None if meb is None else meb.record_write
+        index_get = l1._index.get
+        lines_arr = l1._lines
+        stamps = l1._stamps
+        stamp = l1._stamp
+        n = self.n
+        starts = self.starts
+        is_write = self.is_write
+        reads = self.reads
+        writes = self.writes
+        firsts = self.firsts
+        enters = self.enters
+        span = self.span
+        wmask = self.words_per_line - 1
+        line_shift = (self.words_per_line << 2).bit_length() - 1
+        ncol = len(starts)
+        las = [0] * ncol
+        slots = [0] * ncol
+        lines = [None] * ncol
+        todo = range(ncol)  # the columns entering a line at t
+        hits = 0
+        while t < n:
+            nb = 0
+            for c in todo:
+                la = (starts[c] + (t << 2)) >> line_shift
+                if admit is not None and not admit(la):
+                    break
+                slot = index_get(la)
+                if slot is None:
+                    break
+                line = lines_arr[slot]
+                if is_write[c]:
+                    if line.state is not wstate:
+                        break
+                elif armed and not ieb._mask >> la & 1:
+                    break
+                las[c] = la
+                slots[c] = slot
+                lines[c] = line
+            else:
+                nb = min(span[t & wmask], n - t)
+                if fresh is not None:
+                    # Checked before the block runs: only a store can make
+                    # a word fresh, so a word fresh now is fresh when
+                    # read, and a stale one ends the block there.
+                    for c in reads:
+                        w = (firsts[c] + t) & wmask
+                        for j in range(nb):
+                            if not fresh(las[c], lines[c], w + j):
+                                nb = j
+                                break
+            if not nb:
+                break
+            todo = enters[(t + nb) & wmask]
+            words = [(f + t) & wmask for f in firsts]
+            i = self.lo + t
+            if self.lone and las[-1] not in las[:-1]:
+                # No column reads what the block stores: every value is
+                # known up front, and the stores are one slice.
+                w = words[-1]
+                lines[-1].data[w:w + nb] = map(
+                    self.assigns[0][0], range(i, i + nb),
+                    *[lines[c].data[words[c]:words[c] + nb] for c in reads],
+                )
+            else:
+                plan = [
+                    (fn, [(lines[c].data, words[c]) for c in srcs],
+                     lines[wc].data, words[wc])
+                    for fn, srcs, wc in self.assigns
+                ]
+                for j in range(nb):
+                    for fn, srcs, data, w in plan:
+                        data[w + j] = fn(i + j, *[d[v + j] for d, v in srcs])
+            bits = (1 << nb) - 1
+            if meb_record is not None:
+                # Record lines in the order their first clean word turns
+                # dirty, as the per-word stores would.
+                order = []
+                for c in writes:
+                    clean = bits << words[c] & ~lines[c].dirty_mask
+                    if clean:
+                        j = (clean & -clean).bit_length() - 1 - words[c]
+                        order.append((j, c, las[c]))
+                for _, _, la in sorted(order):
+                    meb_record(la)
+            for c in writes:
+                lines[c].dirty_mask |= bits << words[c]
+                if on_write is not None:
+                    on_write(las[c])
+            # Each slot's stamp is its last access's: column c of the
+            # block's last iteration.
+            top = stamp + (nb - 1) * ncol + 1
+            for c in range(ncol):
+                stamps[slots[c]] = top + c
+            stamp += nb * ncol
+            hits += nb * ncol
+            t += nb
+        l1._stamp = stamp
+        return t, hits
 
 
 class FastCPU(CPU):
@@ -134,12 +357,14 @@ class FastCPU(CPU):
         line_bytes = hier.line_bytes
         line_shift = line_bytes.bit_length() - 1
         off_mask = line_bytes - 1
+        words_per_line = line_bytes >> 2
         hit_lat = max(
             1, round(hier.l1_latency() * (1.0 - proto.machine.core.overlap))
         )
         # The protocol's rules for this core (see FusedHooks); the model
         # callbacks are all None for the base protocol and MESI.
-        admit, fresh, on_fill, on_write, wstate, ieb, meb, fill = self._hooks
+        hooks = self._hooks
+        admit, fresh, on_fill, on_write, wstate, ieb, meb, fill = hooks
         meb_record = None if meb is None else meb.record_write
         proto_read = proto.read
         proto_write = proto.write
@@ -402,92 +627,108 @@ class FastCPU(CPU):
                 # same per-word path as in the ReadBatch/WriteBatch arms.
                 # Every word and the compute delay charge REST, so the
                 # chunk's cycles add up in ``cyc``; L1 hits are counted,
-                # and charged from the count when the chunk ends.
+                # and charged from the count when the chunk ends.  An
+                # affine chunk runs in line blocks instead, and only the
+                # iterations a block hands back run here, one at a time.
                 rows, steps = op.plan()
+                blocks = _LineBlocks.of(op, words_per_line)
+                n = op.hi - op.lo
                 hits_before = hits
                 cyc = 0
-                for row in rows:
-                    k = 1
-                    for fn, srcs in steps:
-                        values = []
-                        append = values.append
-                        for addr_of in srcs:
-                            if addr_of is None:
-                                addr = row[k]
-                                k += 1
-                            else:
-                                addr = addr_of(int(values.pop()))
+                t = 0
+                while True:
+                    if blocks is not None:
+                        l1._stamp = stamp
+                        t, block_hits = blocks.run(t, armed, hooks, l1)
+                        stamp = l1._stamp
+                        hits += block_hits
+                        if t == n:
+                            break
+                        rows = (blocks.row(t),)
+                        t += 1
+                    for row in rows:
+                        k = 1
+                        for fn, srcs in steps:
+                            values = []
+                            append = values.append
+                            for addr_of in srcs:
+                                if addr_of is None:
+                                    addr = row[k]
+                                    k += 1
+                                else:
+                                    addr = addr_of(int(values.pop()))
+                                la = addr >> line_shift
+                                slot = index_get(la)
+                                if admit is not None and not admit(la):
+                                    pass
+                                elif slot is not None:
+                                    word = (addr & off_mask) >> 2
+                                    line = lines_arr[slot]
+                                    if (
+                                        not armed
+                                        or ieb._mask >> la & 1
+                                        or line.dirty_mask >> word & 1
+                                    ) and (fresh is None or fresh(la, line, word)):
+                                        stamp += 1
+                                        stamps[slot] = stamp
+                                        hits += 1
+                                        append(line.data[word])
+                                        continue
+                                elif fill and (not armed or ieb._mask >> la & 1):
+                                    line = l2_fetch(la)
+                                    if line is not None:
+                                        cyc += l2_lat_row[la % cpb]
+                                        append(line.data[(addr & off_mask) >> 2])
+                                        continue
+                                l1._stamp = stamp
+                                lat, value = proto_read(core_id, addr)
+                                stamp = l1._stamp
+                                cyc += lat
+                                append(value)
+                            value = fn(row[0], *values)
+                            addr = row[k]
+                            k += 1
                             la = addr >> line_shift
                             slot = index_get(la)
                             if admit is not None and not admit(la):
-                                pass
-                            elif slot is not None:
+                                line = None
+                            elif (
+                                slot is not None
+                                and (line := lines_arr[slot]).state is wstate
+                            ):
+                                stamp += 1
+                                stamps[slot] = stamp
                                 word = (addr & off_mask) >> 2
-                                line = lines_arr[slot]
-                                if (
-                                    not armed
-                                    or ieb._mask >> la & 1
-                                    or line.dirty_mask >> word & 1
-                                ) and (fresh is None or fresh(la, line, word)):
-                                    stamp += 1
-                                    stamps[slot] = stamp
-                                    hits += 1
-                                    append(line.data[word])
-                                    continue
-                            elif fill and (not armed or ieb._mask >> la & 1):
+                                line.data[word] = value
+                                bit = 1 << word
+                                dm = line.dirty_mask
+                                if not dm & bit:
+                                    line.dirty_mask = dm | bit
+                                    if meb_record is not None:
+                                        meb_record(la)
+                                if on_write is not None:
+                                    on_write(la)
+                                hits += 1
+                                continue
+                            elif slot is None and fill:
                                 line = l2_fetch(la)
-                                if line is not None:
-                                    cyc += l2_lat_row[la % cpb]
-                                    append(line.data[(addr & off_mask) >> 2])
-                                    continue
-                            l1._stamp = stamp
-                            lat, value = proto_read(core_id, addr)
-                            stamp = l1._stamp
-                            cyc += lat
-                            append(value)
-                        value = fn(row[0], *values)
-                        addr = row[k]
-                        k += 1
-                        la = addr >> line_shift
-                        slot = index_get(la)
-                        if admit is not None and not admit(la):
-                            line = None
-                        elif (
-                            slot is not None
-                            and (line := lines_arr[slot]).state is wstate
-                        ):
-                            stamp += 1
-                            stamps[slot] = stamp
-                            word = (addr & off_mask) >> 2
-                            line.data[word] = value
-                            bit = 1 << word
-                            dm = line.dirty_mask
-                            if not dm & bit:
-                                line.dirty_mask = dm | bit
+                            else:
+                                line = None
+                            if line is not None:
+                                word = (addr & off_mask) >> 2
+                                line.data[word] = value
+                                line.dirty_mask = 1 << word
                                 if meb_record is not None:
                                     meb_record(la)
-                            if on_write is not None:
-                                on_write(la)
-                            hits += 1
-                            continue
-                        elif slot is None and fill:
-                            line = l2_fetch(la)
-                        else:
-                            line = None
-                        if line is not None:
-                            word = (addr & off_mask) >> 2
-                            line.data[word] = value
-                            line.dirty_mask = 1 << word
-                            if meb_record is not None:
-                                meb_record(la)
-                            if on_write is not None:
-                                on_write(la)
-                            cyc += ov(l2_lat_row[la % cpb])
-                        else:
-                            l1._stamp = stamp
-                            cyc += proto_write(core_id, addr, value)
-                            stamp = l1._stamp
-                n = op.hi - op.lo
+                                if on_write is not None:
+                                    on_write(la)
+                                cyc += ov(l2_lat_row[la % cpb])
+                            else:
+                                l1._stamp = stamp
+                                cyc += proto_write(core_id, addr, value)
+                                stamp = l1._stamp
+                    if blocks is None:
+                        break
                 loads += n * sum(len(srcs) for _, srcs in steps)
                 stores += n * len(steps)
                 cyc += (hits - hits_before) * hit_lat + n * int(op.compute)

@@ -99,6 +99,8 @@ class ServerConfig:
         """Reject a setting that would break every job (or bind elsewhere)."""
         for name, ok, rule in (
             ("port", 0 <= self.port <= 65535, "be in 0..65535"),
+            ("workers", self.workers >= 1, "be >= 1"),
+            ("retries", self.retries >= 0, "be >= 0"),
             ("quota", self.quota >= 1, "be >= 1"),
             ("queue_limit", self.queue_limit >= 1, "be >= 1"),
             ("timeout", self.timeout is None or self.timeout > 0, "be > 0"),

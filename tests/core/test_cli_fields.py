@@ -149,6 +149,20 @@ def test_bad_counts_name_their_field_and_flag(argv, flag, kind, spec, field,
     assert exc.value.status == 400
 
 
+@pytest.mark.parametrize("argv, given", [
+    (["--all-workloads", "mp_flag"], "--all-workloads and mp_flag"),
+    (["--litmus", "mp_flag", "lock_counter"],
+     "--litmus and mp_flag and lock_counter"),
+    (["--all-workloads", "--litmus"], "--all-workloads and --litmus"),
+])
+def test_lint_target_sets_exclude_named_targets(argv, given, capsys):
+    """A target the user typed is never silently dropped."""
+    assert main(["lint", *argv]) == 2
+    assert f"repro: error: {given}: lint takes named targets" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--quota", "0"], "--quota"),
     (["--queue-limit", "0"], "--queue-limit"),
@@ -156,6 +170,8 @@ def test_bad_counts_name_their_field_and_flag(argv, flag, kind, spec, field,
     (["--timeout", "-1"], "--timeout"),
     (["--port", "70000"], "--port"),
     (["--port", "-1"], "--port"),
+    (["--workers", "0"], "--workers"),
+    (["--retries", "-1"], "--retries"),
 ])
 def test_serve_rejects_settings_that_break_every_job(argv, flag, capsys,
                                                      monkeypatch):

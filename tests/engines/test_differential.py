@@ -2,7 +2,8 @@
 
 Hypothesis generates small multithreaded programs over the whole batched
 ISA — scalar and batch reads/writes, loop-chunk ``MapBatch`` macro-ops
-(several assignments, stride-0 and gather reads, per-iteration compute),
+(several assignments, stride-0 and gather reads, affine reads and
+writes — all-range chunks run as line blocks — and per-iteration compute),
 WB/INV annotations (range and ALL), MEB/IEB epochs, and compute delays —
 and runs each program on the reference and the fast engine under the
 same configuration, and a third time on the reference engine with every
@@ -49,19 +50,25 @@ _idx_list = st.lists(_idx, min_size=1, max_size=6)
 def _map_batch(n):
     """A ``map_batch`` of *n* iterations.
 
-    Each assignment is ``(reads, write indices, constant)``; a read is an
-    index list, a stride-0 ("fixed") index, an affine ``(start, stride)``
-    range, or a gather through an index list.
+    Each assignment is ``(reads, write, constant)``; a read is an index
+    list, a stride-0 ("fixed") index, an affine ``(start, stride)`` range,
+    or a gather through an index list, and a write an index list or an
+    affine range.  An assignment of one-word-stride ranges only is an
+    affine chunk, which the fast engine runs a line block at a time.
     """
     idxs = st.lists(_idx, min_size=n, max_size=n)
+    listed = st.tuples(st.just("list"), idxs)
+    # One-word strides are drawn most often: they make line blocks.
+    affine = st.tuples(st.just("affine"), st.integers(0, NWORDS - 10),
+                       st.one_of(st.just(1), st.integers(1, 3)))
     read = st.one_of(
-        st.tuples(st.just("list"), idxs),
+        listed,
         st.tuples(st.just("fixed"), _idx),
-        st.tuples(st.just("affine"), st.integers(0, NWORDS - 10),
-                  st.integers(1, 3)),
+        affine,
         st.tuples(st.just("gather"), idxs),
     )
-    assign = st.tuples(st.lists(read, max_size=3), idxs, _val)
+    assign = st.tuples(st.lists(read, max_size=3), st.one_of(listed, affine),
+                       _val)
     return st.tuples(
         st.just("map_batch"), st.integers(0, 3), st.just(n),
         st.lists(assign, min_size=1, max_size=3), st.integers(0, 5),
@@ -180,9 +187,8 @@ def _map_body(assigns, n, arr):
 
     return tuple(
         (lambda i, *vals, c=c: (7 * i + sum(vals) + c) % 1000,
-         tuple(seq(r) for r in reads),
-         tuple(arr.addr(i) for i in writes))
-        for reads, writes, c in assigns
+         tuple(seq(r) for r in reads), seq(write))
+        for reads, write, c in assigns
     )
 
 
