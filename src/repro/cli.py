@@ -123,14 +123,21 @@ def _cmd_run(args) -> int:
             cell.kind, app, cell.config, detect_staleness=True,
             **dict(cell.kwargs),
         )
-        staged.run()
+        # The detector's report is printed whatever the verifier finds.
+        staged.run(verify=False)
         machine = staged.machine
+        failure = None
+        try:
+            staged.check(machine, staged.handle)
+        except AssertionError as exc:
+            failure = exc
+        verdict = "verified OK" if failure is None else f"verify FAILED ({failure})"
         n = len(machine.stale_reads)
-        print(f"{app} under {cell.config.name}: verified OK, "
+        print(f"{app} under {cell.config.name}: {verdict}, "
               f"{n} stale read(s) detected")
         for event in machine.stale_reads[:10]:
             print(f"  {event!r}")
-        return 0 if n == 0 else 1
+        return 0 if n == 0 and failure is None else 1
     doc, _ = _run("sweep", spec)
     [row] = doc["matrix"].values()
     [cell] = row.values()

@@ -49,3 +49,17 @@ class MPIError(ReproError):
 
 class AnalysisError(ReproError):
     """The static annotation analyzer could not process a kernel."""
+
+
+def expect(ok: bool, message: str, *args) -> None:
+    """A verifier's check: raise ``AssertionError`` unless *ok*.
+
+    Workload verifiers and litmus oracles call this instead of ``assert``,
+    which ``python -O`` strips.  The type stays ``AssertionError`` (not a
+    :class:`ReproError`): it is a wrong answer, and the CLI and the sweep
+    matrix catch it as one.  *message* is formatted with *args* only when
+    the check fails, so a check in a loop builds no message it does not
+    raise.
+    """
+    if not ok:
+        raise AssertionError(message.format(*args) if args else message)

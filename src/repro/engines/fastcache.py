@@ -21,8 +21,7 @@ consumer (WB ALL sample lines, ``inv_all``, verification flushes) sees
 the same sequence as the reference engine.
 
 The hot-path structures (``_index``, ``_lines``, ``_stamps``) are never
-reassigned after construction, so the fast CPU may bind them locally once
-per scheduling step.
+reassigned after construction, so the fast CPU binds them once per core.
 """
 
 from __future__ import annotations

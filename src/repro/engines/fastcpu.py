@@ -4,64 +4,88 @@
 loop that executes L1 *hits* — by far the most common memory operation —
 inline against the :class:`~repro.engines.fastcache.PackedCache` arrays,
 without a protocol method call, a dict-reorder LRU touch, or per-access
-float math:
+float math.  Address arithmetic is shift/mask (line sizes are powers of
+two), and the hit latency ``max(1, round(l1_rt * (1 - overlap)))`` is a
+precomputed constant.
 
-* address arithmetic is shift/mask (line sizes are powers of two),
-* the hit latency ``max(1, round(l1_rt * (1 - overlap)))`` is a
-  precomputed constant,
-* loads/stores/hits/stall counters accumulate in locals and flush to
-  :class:`~repro.sim.stats.CoreStats` at scheduling boundaries,
-* every batch macro-op runs inline in one dispatch: ``ReadBatch`` and
-  ``WriteBatch`` their word runs, ``MapBatch`` a whole loop chunk (each
-  iteration's reads, gathers, computed stores and compute delay), every
-  word on the same hit/fill/delegate rules as the scalar arms.
+Two rules.  Every word the loop touches goes through one of two nested
+functions, each stating its per-word rule once:
+
+* ``load(addr) -> value``: ``admit``, then a hit — a resident line serves
+  the read when the IEB is not armed, the line is in the IEB or the word
+  is locally dirty, and ``fresh`` passes — then an inline fill of a plain
+  miss that hits the home L2 bank (IEB permitting, ``l2_fetch``), else the
+  whole read goes to the protocol's ``read``.
+* ``store(addr, value)``: ``admit``, then a resident line in the store
+  state or an inline fill; either takes the word, sets its dirty bit,
+  records a clean→dirty line in the MEB and calls ``on_write``; else the
+  whole store goes to the protocol's ``write``.
+
+``Read`` and ``Write`` call a rule once, ``ReadBatch`` and ``WriteBatch``
+once per word, and ``MapBatch`` (a whole loop chunk) once per read and
+store of each iteration, with no list built for an assignment of up to
+two plain reads or one gather (``_assignments``).  An affine chunk runs
+in line blocks (below), a fast case that hands every iteration it cannot
+serve back to the rules.
 
 The same loop serves directory MESI, the incoherent hierarchy, and every
 memory model built on it (:mod:`repro.models`).  Each protocol states its
-rules once per core as :class:`~repro.coherence.base.FusedHooks`, read when
-the loop binds its locals: the line state a store needs to complete
-inline, its IEB and MEB (if any), whether a miss may be filled inline
-from the home L2, and the model callbacks (``admit``, ``fresh``,
-``on_fill``, ``on_write``) that the loop calls around its inline hits and
-fills.
+rules once per core as :class:`~repro.coherence.base.FusedHooks`: the line
+state a store needs to complete inline, its IEB and MEB (if any), whether
+a miss may be filled inline from the home L2, and the model callbacks
+(``admit``, ``fresh``, ``on_fill``, ``on_write``) the rules call around
+their inline hits and fills.  Everything else — misses, IEB-armed
+refreshes, MESI E/S-state stores, rc lazy refreshes, sisd ownership flips,
+WB/INV instructions, synchronization — delegates to the *shared*
+protocol/sync implementations, so the complex paths have exactly one
+implementation and the fast engine inherits their semantics (and their
+fault-injection hooks) verbatim.  When an observability sink or the
+staleness detector is attached, each core takes the reference loop
+instead: instrumented runs are reference runs.  The loop taken is recorded
+as ``Machine.cpu_loop`` (``"fused"`` or ``"reference: <reason>"``).
 
-Everything that is not a plain L1 hit — misses, IEB-armed refreshes, MESI
-E/S-state stores, rc lazy refreshes, sisd ownership flips, WB/INV
-instructions, synchronization — delegates to the *shared* protocol/sync
-implementations, so the complex paths have exactly one implementation and
-the fast engine inherits their semantics (and their fault-injection hooks)
-verbatim.  When an observability sink or the staleness detector is
-attached, each core falls back to the reference loop: instrumented runs
-are reference runs.  The loop taken is recorded as ``Machine.cpu_loop``
-(``"fused"`` or ``"reference: <reason>"``).
+Boundary charging.  Loads, stores, hits, misses and cycles accumulate in
+locals and flush to :class:`~repro.sim.stats.CoreStats` at the step's
+scheduling boundary: the program's end or a sync op.  A hit is only
+counted where it happens; its latency is charged at the boundary, as
+``hits * hit_lat``, to REST and to the step's total.  The latencies are
+ints and the sums are read only at the boundary (``engine.schedule`` of
+the finish, ``_issue_sync``), so the totals equal per-hit charging bit for
+bit.
 
-Bit-identity argument, per fused path (vs. the reference protocols):
+One loop per core.  The loop is a generator, made when the core selects it
+and first advanced by the core's first step.  It binds its locals and the
+two rules once, runs ops up to a sync op, issues it and parks (``yield``)
+until the sync controller resumes the core through ``_step``; it returns
+when the program ends.  While a core is parked, other cores evict or
+invalidate its lines and the sync op may run protocol actions on its
+caches; the rules look every line up afresh, so of what the loop holds
+only three things can go stale, and each resume re-reads them: the LRU
+counter ``l1._stamp``, the IEB's ``armed`` flag, and ``_send_value``.
+Everything else it binds (the PackedCache arrays, the hooks and the
+containers they close over, the L2 row) is never reassigned during a run.
+:meth:`FastCPU.release` closes a parked loop, so an unfinished run
+(deadlock, ``max_cycles``) drops the loop's frame and its links.
 
-* incoherent read hit: requires a resident line and — in an IEB-armed
-  epoch — the line being refreshed (IEB membership) or the target word
-  locally dirty; charges ``l1_hits += 1`` and the overlapped L1 latency.
-* incoherent write hit: resident line; writes the word, sets the per-word
-  dirty bit, records a clean→dirty transition in the MEB; same charge.
-* rc read hit: as incoherent, plus ``fresh`` — the line was filled in the
-  current acquire epoch or the word is locally dirty; a stale line goes
-  to ``rc.read``, which runs the lazy refresh.  The inline L2 fill stamps
-  the fill epoch through ``on_fill`` exactly as ``rc._fetch_into_l1``
-  does, and every inline store adds its line to the region write set
-  through ``on_write`` (a set insert, so ``rc.write`` repeating it on a
-  delegated store changes nothing).
-* sisd access: ``admit`` records the first owner and returns True unless
-  the access flips the line private→shared; a flip sends the whole access
-  to ``sisd.read``/``sisd.write`` *before* any fused side effect, so the
+Bit-identity argument, per protocol (vs. the reference protocols); the
+incoherent hit and fill are the two rules above:
+
+* rc: ``fresh`` passes when the line was filled in the current acquire
+  epoch or the word is locally dirty; a stale line goes to ``rc.read``,
+  which runs the lazy refresh.  The inline fill stamps the fill epoch
+  through ``on_fill`` exactly as ``rc._fetch_into_l1`` does, and every
+  inline store adds its line to the region write set through
+  ``on_write`` (a set insert, so ``rc.write`` repeating it on a delegated
+  store changes nothing).
+* sisd: ``admit`` records the first owner and returns True unless the
+  access flips the line private→shared; a flip sends the whole access to
+  ``sisd.read``/``sisd.write`` *before* any fused side effect, so the
   classifier and transition recovery run in reference order (re-admitting
-  is a no-op for an already-recorded owner).  Admitted hits and fills are
-  the incoherent ones.
-* MESI read hit: resident line (an invalidated copy leaves the L1, so a
-  resident line is M, E or S) with no IEB; same charge.
-* MESI write hit: resident line in M only.  An E store (E→M with the
-  directory owner and L3 ``owner_block`` fix-ups) and an S store (the
-  S→M upgrade) go to ``MESIProtocol.write``; so does every miss.
-
-All other cases take the exact reference code path.
+  is a no-op for an already-recorded owner).
+* MESI: a resident line is M, E or S (an invalidated copy leaves the L1)
+  and serves reads; a store completes inline in M only.  An E store (E→M
+  with the directory owner and L3 ``owner_block`` fix-ups), an S store
+  (the S→M upgrade) and every miss go to the protocol.
 
 Line blocks.  A ``MapBatch`` whose every read and write column is a
 one-word-stride ``range`` (an affine loop chunk) runs a *line block* at a
@@ -89,17 +113,17 @@ block leaves the per-word path's state:
   idempotent.
 * fallback: an iteration whose column misses, flips (sisd), needs an IEB
   refresh, is not in the store state or reads a stale word runs as one
-  per-word row — the exact path above — and every column resolves again
-  after it, so fills, delegation, faults and flips keep one
-  implementation.  Columns resolve in row order, so ``admit`` first sees
-  each line in the per-word order.
+  row through the two rules, and every column resolves again after it,
+  so fills, delegation, faults and flips keep one implementation.
+  Columns resolve in row order, so ``admit`` first sees each line in the
+  per-word order.
 """
 
 from __future__ import annotations
 
 import functools
 
-from repro.coherence.base import Protocol
+from repro.coherence.base import FusedHooks, Protocol
 from repro.common.params import WORD_BYTES
 from repro.core.cpu import CPU
 from repro.isa import ops as isa
@@ -135,6 +159,30 @@ def _line_entries(words_per_line: int, firsts: tuple[int, ...]):
             k += 1
         span.append(k)
     return enters, tuple(span)
+
+
+def _assignments(steps) -> list[tuple]:
+    """``MapBatch.plan``'s steps as ``(fn, reads, shape)`` for the row loop.
+
+    ``reads`` has one entry per read: ``None``, or a gather's ``addr_of``
+    (the row holds its index word's address).  ``shape`` picks the case
+    the loop spells out with direct calls, which cost less than a loop
+    over ``reads``: 0, 1 or 2 plain reads, 3 for one gather, 4 otherwise.
+    """
+    out = []
+    for fn, loads in steps:
+        reads = []
+        for addr_of in loads:
+            if addr_of is None:
+                reads.append(None)
+            else:
+                reads[-1] = addr_of
+        if not any(reads) and len(reads) <= 2:
+            shape = len(reads)
+        else:
+            shape = 3 if len(reads) == 1 else 4
+        out.append((fn, tuple(reads), shape))
+    return out
 
 
 class _LineBlocks:
@@ -304,14 +352,17 @@ class _LineBlocks:
 class FastCPU(CPU):
     """One core executing one thread through the fused fast paths."""
 
-    __slots__ = ("_hooks",)
+    __slots__ = ("_loop",)
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._loop = None
 
     def _select_loop(self) -> str:
-        """Bind this core's fused rules once, at start (or name the
-        reason it takes the reference loop)."""
+        """Make this core's fused loop, its rules bound once at start (or
+        name the reason it takes the reference loop)."""
         machine = self.machine
         proto = machine.protocol
-        self._hooks = None
         # Instrumented runs take the reference loop wholesale so traces,
         # metrics, and the staleness shadow are bit-identical.
         if machine.tracer is not None:
@@ -329,18 +380,27 @@ class FastCPU(CPU):
             # A protocol that overrides plain accesses without restating
             # its fused rules: fused hits would run its parent's semantics.
             return f"reference: unsupported protocol {cls.__name__}"
-        self._hooks = proto.fused_hooks(self.core_id)
+        self._loop = self._fused_loop(proto, proto.fused_hooks(self.core_id))
         return "fused"
 
     def _step(self) -> None:
-        """Run the fused loop (or the reference one)."""
-        if self._hooks is None:
+        """Run (or resume) the fused loop, or run the reference one."""
+        if self._loop is None:
             return CPU._step(self)
-        return self._step_fused(self.machine.protocol)
+        next(self._loop, None)
+
+    def release(self) -> None:
+        """Close the fused loop too: a parked one's frame holds the core."""
+        if self._loop is not None:
+            self._loop.close()
+            self._loop = None
+        super().release()
 
     # -- the fused loop -----------------------------------------------------
 
-    def _step_fused(self, proto: Protocol) -> None:
+    def _fused_loop(self, proto: Protocol, hooks: FusedHooks):
+        """This core's fused loop: one pass per scheduling step, parked at
+        each sync op (see the module doc for the resume contract)."""
         engine = self.machine.engine
         stats = self.stats
         stalls = stats.stalls
@@ -363,30 +423,12 @@ class FastCPU(CPU):
         )
         # The protocol's rules for this core (see FusedHooks); the model
         # callbacks are all None for the base protocol and MESI.
-        hooks = self._hooks
         admit, fresh, on_fill, on_write, wstate, ieb, meb, fill = hooks
         meb_record = None if meb is None else meb.record_write
         proto_read = proto.read
         proto_write = proto.write
         Read, Write, Compute = isa.Read, isa.Write, isa.Compute
-        ReadBatch, WriteBatch, MapBatch = (
-            isa.ReadBatch, isa.WriteBatch, isa.MapBatch
-        )
-
-        acc = 0          # this step's total simulated cycles
-        rest_cyc = 0     # portion attributed to StallCat.REST
-        loads = 0
-        stores = 0
-        hits = 0
-        misses = 0
-        send = self._send_value
-        self._send_value = None
-        # The LRU stamp counter and the IEB armed flag live in locals on the
-        # fused paths.  Every delegated call (protocol read/write, WB/INV,
-        # sync) may advance the counter or rearm the IEB, so the locals are
-        # written back before and reloaded after each delegation.
-        stamp = l1._stamp
-        armed = ieb is not None and ieb.armed
+        ReadBatch, WriteBatch, MapBatch = isa.ReadBatch, isa.WriteBatch, isa.MapBatch
 
         if fill:
             # The incoherent inline fill's locals (see l2_fetch).
@@ -402,10 +444,10 @@ class FastCPU(CPU):
             def l2_fetch(la):
                 """Inline ``_fetch_into_l1`` for a plain L1 miss that hits
                 the home L2 bank: same touch, same victim handling
-                (delegated), same LINEFILL accounting, same table-driven
-                latency, same ``on_fill`` hook.  Returns ``None`` on an L2
-                miss — the caller then delegates the whole operation to the
-                shared protocol, which re-probes without side effects."""
+                (delegated), same LINEFILL accounting, same ``on_fill``
+                hook.  Returns ``None`` on an L2 miss — the caller then
+                delegates the whole access to the shared protocol, which
+                re-probes without side effects."""
                 nonlocal stamp, misses
                 if faults is not None:
                     # Chaos runs route every miss through the shared
@@ -431,31 +473,13 @@ class FastCPU(CPU):
                     on_fill(la)
                 return line
 
-        while True:
-            try:
-                op = program_send(send)
-            except StopIteration:
-                l1._stamp = stamp
-                stats.loads += loads
-                stats.stores += stores
-                stats.l1_hits += hits
-                stats.l1_misses += misses
-                stalls[rest] += rest_cyc
-                if acc:
-                    engine.schedule(acc, self._finish)
-                else:
-                    self._finish()
-                return
-            send = None
-
-            kind = type(op)
-            if kind is Read:
-                addr = op.addr
-                la = addr >> line_shift
+        def load(addr):
+            """The read rule: one word's value."""
+            nonlocal stamp, hits, cyc
+            la = addr >> line_shift
+            if admit is None or admit(la):
                 slot = index_get(la)
-                if admit is not None and not admit(la):
-                    pass
-                elif slot is not None:
+                if slot is not None:
                     word = (addr & off_mask) >> 2
                     line = lines_arr[slot]
                     if (
@@ -466,40 +490,37 @@ class FastCPU(CPU):
                         stamp += 1
                         stamps[slot] = stamp
                         hits += 1
-                        loads += 1
-                        rest_cyc += hit_lat
-                        acc += hit_lat
-                        send = line.data[word]
-                        continue
+                        return line.data[word]
                 elif fill and (not armed or ieb._mask >> la & 1):
                     line = l2_fetch(la)
                     if line is not None:
-                        loads += 1
-                        lat = l2_lat_row[la % cpb]
-                        rest_cyc += lat
-                        acc += lat
-                        send = line.data[(addr & off_mask) >> 2]
-                        continue
-                l1._stamp = stamp
-                lat, send = proto_read(core_id, addr)
-                stamp = l1._stamp
-                loads += 1
-                rest_cyc += lat
-                acc += lat
-            elif kind is Write:
-                addr = op.addr
-                la = addr >> line_shift
+                        cyc += l2_lat_row[la % cpb]
+                        return line.data[(addr & off_mask) >> 2]
+            l1._stamp = stamp
+            lat, value = proto_read(core_id, addr)
+            stamp = l1._stamp
+            cyc += lat
+            return value
+
+        def store(addr, value):
+            """The write rule: store one word."""
+            nonlocal stamp, hits, cyc
+            la = addr >> line_shift
+            if admit is None or admit(la):
                 slot = index_get(la)
-                if admit is not None and not admit(la):
-                    line = None
-                elif (
-                    slot is not None
-                    and (line := lines_arr[slot]).state is wstate
-                ):
+                if slot is None:
+                    line = l2_fetch(la) if fill else None
+                    if line is not None:
+                        cyc += ov(l2_lat_row[la % cpb])
+                elif (line := lines_arr[slot]).state is wstate:
                     stamp += 1
                     stamps[slot] = stamp
+                    hits += 1
+                else:
+                    line = None
+                if line is not None:
                     word = (addr & off_mask) >> 2
-                    line.data[word] = op.value
+                    line.data[word] = value
                     bit = 1 << word
                     dm = line.dirty_mask
                     if not dm & bit:
@@ -508,250 +529,125 @@ class FastCPU(CPU):
                             meb_record(la)
                     if on_write is not None:
                         on_write(la)
-                    hits += 1
+                    return
+            l1._stamp = stamp
+            cyc += proto_write(core_id, addr, value)
+            stamp = l1._stamp
+
+        while True:
+            # A step starts here: the first one, or a resume after a sync
+            # op, during which other cores and the sync controller may
+            # have moved the LRU counter or (dis)armed the IEB.  The rules
+            # share the counter and the flag (reloaded after every
+            # delegation, which may move them too) and the step's hit,
+            # miss and REST-cycle counts.
+            send = self._send_value
+            self._send_value = None
+            stamp = l1._stamp
+            armed = ieb is not None and ieb.armed
+            loads = stores = hits = misses = cyc = 0
+            stall_cyc = 0  # WB/INV/epoch cycles, charged as they happen
+            while True:
+                try:
+                    op = program_send(send)
+                except StopIteration:
+                    op = None
+                    break
+                send = None
+
+                kind = type(op)
+                if kind is Read:
+                    send = load(op.addr)
+                    loads += 1
+                elif kind is Write:
+                    store(op.addr, op.value)
                     stores += 1
-                    rest_cyc += hit_lat
-                    acc += hit_lat
-                    continue
-                elif slot is None and fill:
-                    line = l2_fetch(la)
-                else:
-                    line = None
-                if line is not None:
-                    word = (addr & off_mask) >> 2
-                    line.data[word] = op.value
-                    line.dirty_mask = 1 << word  # fresh copy was clean
-                    if meb_record is not None:
-                        meb_record(la)
-                    if on_write is not None:
-                        on_write(la)
-                    lat = ov(l2_lat_row[la % cpb])
-                else:
-                    l1._stamp = stamp
-                    lat = proto_write(core_id, addr, op.value)
-                    stamp = l1._stamp
-                stores += 1
-                rest_cyc += lat
-                acc += lat
-            elif kind is Compute:
-                cycles = int(op.cycles)
-                rest_cyc += cycles
-                acc += cycles
-            elif kind is ReadBatch:
-                values = []
-                append = values.append
-                for addr in op.addrs:
-                    la = addr >> line_shift
-                    slot = index_get(la)
-                    if admit is not None and not admit(la):
-                        pass
-                    elif slot is not None:
-                        word = (addr & off_mask) >> 2
-                        line = lines_arr[slot]
-                        if (
-                            not armed
-                            or ieb._mask >> la & 1
-                            or line.dirty_mask >> word & 1
-                        ) and (fresh is None or fresh(la, line, word)):
-                            stamp += 1
-                            stamps[slot] = stamp
-                            hits += 1
-                            rest_cyc += hit_lat
-                            acc += hit_lat
-                            append(line.data[word])
-                            continue
-                    elif fill and (not armed or ieb._mask >> la & 1):
-                        line = l2_fetch(la)
-                        if line is not None:
-                            lat = l2_lat_row[la % cpb]
-                            rest_cyc += lat
-                            acc += lat
-                            append(line.data[(addr & off_mask) >> 2])
-                            continue
-                    l1._stamp = stamp
-                    lat, value = proto_read(core_id, addr)
-                    stamp = l1._stamp
-                    rest_cyc += lat
-                    acc += lat
-                    append(value)
-                loads += len(values)
-                send = values
-            elif kind is WriteBatch:
-                for addr, value in zip(op.addrs, op.values, strict=True):
-                    stores += 1
-                    la = addr >> line_shift
-                    slot = index_get(la)
-                    if admit is not None and not admit(la):
-                        line = None
-                    elif (
-                        slot is not None
-                        and (line := lines_arr[slot]).state is wstate
-                    ):
-                        stamp += 1
-                        stamps[slot] = stamp
-                        word = (addr & off_mask) >> 2
-                        line.data[word] = value
-                        bit = 1 << word
-                        dm = line.dirty_mask
-                        if not dm & bit:
-                            line.dirty_mask = dm | bit
-                            if meb_record is not None:
-                                meb_record(la)
-                        if on_write is not None:
-                            on_write(la)
-                        hits += 1
-                        rest_cyc += hit_lat
-                        acc += hit_lat
-                        continue
-                    elif slot is None and fill:
-                        line = l2_fetch(la)
-                    else:
-                        line = None
-                    if line is not None:
-                        word = (addr & off_mask) >> 2
-                        line.data[word] = value
-                        line.dirty_mask = 1 << word
-                        if meb_record is not None:
-                            meb_record(la)
-                        if on_write is not None:
-                            on_write(la)
-                        lat = ov(l2_lat_row[la % cpb])
-                    else:
-                        l1._stamp = stamp
-                        lat = proto_write(core_id, addr, value)
-                        stamp = l1._stamp
-                    rest_cyc += lat
-                    acc += lat
-            elif kind is MapBatch:
-                # The whole chunk inline: each read and store takes the
-                # same per-word path as in the ReadBatch/WriteBatch arms.
-                # Every word and the compute delay charge REST, so the
-                # chunk's cycles add up in ``cyc``; L1 hits are counted,
-                # and charged from the count when the chunk ends.  An
-                # affine chunk runs in line blocks instead, and only the
-                # iterations a block hands back run here, one at a time.
-                rows, steps = op.plan()
-                blocks = _LineBlocks.of(op, words_per_line)
-                n = op.hi - op.lo
-                hits_before = hits
-                cyc = 0
-                t = 0
-                while True:
-                    if blocks is not None:
-                        l1._stamp = stamp
-                        t, block_hits = blocks.run(t, armed, hooks, l1)
-                        stamp = l1._stamp
-                        hits += block_hits
-                        if t == n:
-                            break
-                        rows = (blocks.row(t),)
-                        t += 1
-                    for row in rows:
-                        k = 1
-                        for fn, srcs in steps:
-                            values = []
-                            append = values.append
-                            for addr_of in srcs:
-                                if addr_of is None:
-                                    addr = row[k]
-                                    k += 1
+                elif kind is Compute:
+                    cyc += int(op.cycles)
+                elif kind is ReadBatch:
+                    send = list(map(load, op.addrs))
+                    loads += len(send)
+                elif kind is WriteBatch:
+                    for addr, value in zip(op.addrs, op.values, strict=True):
+                        store(addr, value)
+                        stores += 1
+                elif kind is MapBatch:
+                    # The whole chunk inline.  An affine chunk runs in line
+                    # blocks, and only the iterations a block hands back run
+                    # as rows here, one at a time.
+                    rows, steps = op.plan()
+                    n = op.hi - op.lo
+                    loads += n * sum(len(srcs) for _, srcs in steps)
+                    stores += n * len(steps)
+                    steps = _assignments(steps)
+                    blocks = _LineBlocks.of(op, words_per_line)
+                    t = 0
+                    while True:
+                        if blocks is not None:
+                            l1._stamp = stamp
+                            t, block_hits = blocks.run(t, armed, hooks, l1)
+                            stamp = l1._stamp
+                            hits += block_hits
+                            if t == n:
+                                break
+                            rows = (blocks.row(t),)
+                            t += 1
+                        for row in rows:
+                            k = 1
+                            for fn, reads, shape in steps:
+                                if shape == 0:
+                                    value = fn(row[0])
+                                elif shape == 1:
+                                    value = fn(row[0], load(row[k]))
+                                elif shape == 2:
+                                    value = fn(row[0], load(row[k]), load(row[k + 1]))
+                                elif shape == 3:
+                                    index = int(load(row[k]))
+                                    value = fn(row[0], load(reads[0](index)))
                                 else:
-                                    addr = addr_of(int(values.pop()))
-                                la = addr >> line_shift
-                                slot = index_get(la)
-                                if admit is not None and not admit(la):
-                                    pass
-                                elif slot is not None:
-                                    word = (addr & off_mask) >> 2
-                                    line = lines_arr[slot]
-                                    if (
-                                        not armed
-                                        or ieb._mask >> la & 1
-                                        or line.dirty_mask >> word & 1
-                                    ) and (fresh is None or fresh(la, line, word)):
-                                        stamp += 1
-                                        stamps[slot] = stamp
-                                        hits += 1
-                                        append(line.data[word])
-                                        continue
-                                elif fill and (not armed or ieb._mask >> la & 1):
-                                    line = l2_fetch(la)
-                                    if line is not None:
-                                        cyc += l2_lat_row[la % cpb]
-                                        append(line.data[(addr & off_mask) >> 2])
-                                        continue
-                                l1._stamp = stamp
-                                lat, value = proto_read(core_id, addr)
-                                stamp = l1._stamp
-                                cyc += lat
-                                append(value)
-                            value = fn(row[0], *values)
-                            addr = row[k]
-                            k += 1
-                            la = addr >> line_shift
-                            slot = index_get(la)
-                            if admit is not None and not admit(la):
-                                line = None
-                            elif (
-                                slot is not None
-                                and (line := lines_arr[slot]).state is wstate
-                            ):
-                                stamp += 1
-                                stamps[slot] = stamp
-                                word = (addr & off_mask) >> 2
-                                line.data[word] = value
-                                bit = 1 << word
-                                dm = line.dirty_mask
-                                if not dm & bit:
-                                    line.dirty_mask = dm | bit
-                                    if meb_record is not None:
-                                        meb_record(la)
-                                if on_write is not None:
-                                    on_write(la)
-                                hits += 1
-                                continue
-                            elif slot is None and fill:
-                                line = l2_fetch(la)
-                            else:
-                                line = None
-                            if line is not None:
-                                word = (addr & off_mask) >> 2
-                                line.data[word] = value
-                                line.dirty_mask = 1 << word
-                                if meb_record is not None:
-                                    meb_record(la)
-                                if on_write is not None:
-                                    on_write(la)
-                                cyc += ov(l2_lat_row[la % cpb])
-                            else:
-                                l1._stamp = stamp
-                                cyc += proto_write(core_id, addr, value)
-                                stamp = l1._stamp
-                    if blocks is None:
-                        break
-                loads += n * sum(len(srcs) for _, srcs in steps)
-                stores += n * len(steps)
-                cyc += (hits - hits_before) * hit_lat + n * int(op.compute)
-                rest_cyc += cyc
-                acc += cyc
-            elif isinstance(op, isa.SYNC_OPS):
-                l1._stamp = stamp
-                stats.loads += loads
-                stats.stores += stores
-                stats.l1_hits += hits
-                stats.l1_misses += misses
-                stalls[rest] += rest_cyc
-                self._issue_sync(op, acc)
+                                    values = []
+                                    for j, addr_of in enumerate(reads, k):
+                                        value = load(row[j])
+                                        if addr_of is not None:
+                                            value = load(addr_of(int(value)))
+                                        values.append(value)
+                                    value = fn(row[0], *values)
+                                k += len(reads)
+                                store(row[k], value)
+                                k += 1
+                        if blocks is None:
+                            break
+                    cyc += n * int(op.compute)
+                elif isinstance(op, isa.SYNC_OPS):
+                    break
+                else:
+                    l1._stamp = stamp
+                    lat, cat = self._wbinv(proto, op)
+                    stamp = l1._stamp
+                    if ieb is not None:
+                        armed = ieb.armed
+                    if faults is not None:
+                        # WB/INV drain through the write buffer (Section
+                        # III-C); an injected drain stall delays their
+                        # retirement.
+                        lat += faults.wbuf_stall(core_id)
+                    stats.add_stall(cat, lat)
+                    stall_cyc += lat
+
+            # The scheduling boundary: flush the counts, charging every L1
+            # hit its latency here.
+            l1._stamp = stamp
+            cyc += hits * hit_lat
+            stats.loads += loads
+            stats.stores += stores
+            stats.l1_hits += hits
+            stats.l1_misses += misses
+            stalls[rest] += cyc
+            if op is None:
+                if cyc + stall_cyc:
+                    engine.schedule(cyc + stall_cyc, self._finish)
+                else:
+                    self._finish()
                 return
-            else:
-                l1._stamp = stamp
-                lat, cat = self._wbinv(proto, op)
-                stamp = l1._stamp
-                if ieb is not None:
-                    armed = ieb.armed
-                if faults is not None:
-                    # WB/INV drain through the write buffer (Section III-C);
-                    # an injected drain stall delays their retirement.
-                    lat += faults.wbuf_stall(core_id)
-                stats.add_stall(cat, lat)
-                acc += lat
+            self._issue_sync(op, cyc + stall_cyc)
+            yield

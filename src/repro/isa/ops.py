@@ -78,10 +78,10 @@ class Compute(Op):
 # sequence in order, receives each read's value, and returns what the
 # program gets back (the value list for ``ReadBatch``, ``None`` otherwise).
 # The reference core and the analyzer run that expansion as is; the fast
-# engine's fused loop runs each batch kind inline, with the same per-word
-# rules as its scalar arms.  Every engine therefore charges latency,
-# updates cache state, and counts statistics word by word exactly as the
-# scalar sequence would.  Batches exist so a hot loop can hand the core a
+# engine's fused loop runs each batch kind inline, each word through the
+# same read or write rule as a scalar op.  Every engine therefore charges
+# latency, updates cache state, and counts statistics word by word
+# exactly as the scalar sequence would.  Batches exist so a hot loop can hand the core a
 # whole run of accesses in one generator round-trip instead of one
 # ``yield`` per word: ``ReadBatch``/``WriteBatch`` a run of loads or
 # stores, ``MapBatch`` a whole chunk of loop iterations (reads, computed

@@ -287,8 +287,8 @@ def _field_tables() -> dict[str, tuple[Field, ...]]:
         "litmus": (
             matrix,
             kernels,
-            Field("all", bool, "run every registered kernel", False,
-                  flag="kernel", from_cli=_all_unless_named),
+            Field("all", bool, "run every registered kernel, as when none "
+                  "is named", False, flag="kernel", from_cli=_all_unless_named),
             model("memory model for direct runs (default: $REPRO_MODEL or "
                   "base)", choices=available_models),
             engine("simulator core for direct runs"),
@@ -506,7 +506,7 @@ def _compile_litmus(spec: dict) -> CompiledJob:
     if spec.get("matrix") is True:
         return _compile_litmus_matrix(spec)
     v = read_spec("litmus", spec)
-    kernels = list(LITMUS) if v["all"] else v["kernels"] or []
+    kernels = list(LITMUS) if v["all"] else v["kernels"] or list(LITMUS)
     for name in kernels:
         _expect(name in LITMUS, f"unknown litmus kernel {name!r}")
     kwargs: dict[str, Any] = {"memory_digest": True}

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, TYPE_CHECKING
 
+from repro.common.errors import expect
 from repro.common.params import (
     WORD_BYTES,
     inter_block_machine,
@@ -76,6 +77,16 @@ LITMUS: dict[str, LitmusKernel] = {}
 def _register(kernel: LitmusKernel) -> LitmusKernel:
     LITMUS[kernel.name] = kernel
     return kernel
+
+
+def _expect(kernel: str, obs: dict, want: dict, mem: dict, **arrays) -> None:
+    """A kernel's oracle: its observed loads are *want* and each named
+    final array holds the given words; a failure names the kernel, what
+    it observed and what it expected."""
+    expect(obs == want, "{}: observed {!r}, expected {!r}", kernel, obs, want)
+    for name, words in arrays.items():
+        expect(mem[name] == words, "{}: final {} {!r}, expected {!r}",
+               kernel, name, mem[name], words)
 
 
 def spawn_litmus(
@@ -157,8 +168,7 @@ def _mp_flag_consumer(ctx, arrs, obs):
 
 
 def _check_mp_flag(obs, mem):
-    assert obs == {"got": 42}
-    assert mem["data"] == [42]
+    _expect("mp_flag", obs, {"got": 42}, mem, data=[42])
 
 
 _register(LitmusKernel(
@@ -181,8 +191,7 @@ def _mp_barrier_program(ctx, arrs, obs):
 
 
 def _check_mp_barrier(obs, mem):
-    assert obs == {1: 7, 2: 7, 3: 7}
-    assert mem["data"] == [7]
+    _expect("mp_barrier", obs, {1: 7, 2: 7, 3: 7}, mem, data=[7])
 
 
 _register(LitmusKernel(
@@ -216,8 +225,7 @@ def _passive(ctx, arrs, obs):
 
 
 def _check_mp_inter(obs, mem):
-    assert obs == {3: 99}
-    assert mem["data"] == [99]
+    _expect("mp_flag_inter_block", obs, {3: 99}, mem, data=[99])
 
 
 _register(LitmusKernel(
@@ -250,7 +258,7 @@ def _sb_t1(ctx, arrs, obs):
 
 
 def _check_sb(obs, mem):
-    assert obs == {"r0": 1, "r1": 1}
+    _expect("store_buffering_barrier", obs, {"r0": 1, "r1": 1}, mem)
 
 
 _register(LitmusKernel(
@@ -302,9 +310,8 @@ def _chain_other(ctx, arrs, obs):
 
 
 def _check_chain(obs, mem):
-    assert obs == {"b": (11, 12, 13, 14)}
-    assert mem["a"] == [10, 11, 12, 13]
-    assert mem["b"] == [11, 12, 13, 14]
+    _expect("producer_consumer_chain_barrier", obs, {"b": (11, 12, 13, 14)},
+            mem, a=[10, 11, 12, 13], b=[11, 12, 13, 14])
 
 
 _register(LitmusKernel(
@@ -343,8 +350,8 @@ def _ping_t1(ctx, arrs, obs):
 
 
 def _check_ping(obs, mem):
-    assert obs == {"final0": 2 * _PING_ROUNDS}
-    assert mem["v"] == [2 * _PING_ROUNDS]
+    _expect("flag_ping_pong", obs, {"final0": 2 * _PING_ROUNDS}, mem,
+            v=[2 * _PING_ROUNDS])
 
 
 _register(LitmusKernel(
@@ -377,8 +384,8 @@ def _counter_program(ctx, arrs, obs):
 
 
 def _check_counter(obs, mem):
-    assert obs == {tid: 4 * _COUNTER_K for tid in range(4)}
-    assert mem["counter"] == [4 * _COUNTER_K]
+    _expect("lock_counter", obs, {tid: 4 * _COUNTER_K for tid in range(4)},
+            mem, counter=[4 * _COUNTER_K])
 
 
 _register(LitmusKernel(
@@ -421,8 +428,8 @@ def _multiline_sweep_program(ctx, arrs, obs):
 def _check_multiline_sweep(obs, mem):
     want = 4 * _SWEEP_ROUNDS
     half = _SWEEP_WORDS // 2
-    assert obs == {tid: want for tid in range(4)}
-    assert mem["acc"] == [0] * half + [want] * half
+    _expect("lock_multiline_sweep", obs, {tid: want for tid in range(4)}, mem,
+            acc=[0] * half + [want] * half)
 
 
 _register(LitmusKernel(
@@ -454,8 +461,7 @@ def _handoff_reader(ctx, arrs, obs):
 
 
 def _check_handoff(obs, mem):
-    assert obs == {"slot": 123}
-    assert mem["slot"] == [123]
+    _expect("lock_handoff_no_occ", obs, {"slot": 123}, mem, slot=[123])
 
 
 _register(LitmusKernel(
@@ -493,8 +499,7 @@ def _handoff3_t2(ctx, arrs, obs):
 
 
 def _check_handoff3(obs, mem):
-    assert obs == {"slot": 333}
-    assert mem["slot"] == [333]
+    _expect("lock_handoff_three_threads", obs, {"slot": 333}, mem, slot=[333])
 
 
 _register(LitmusKernel(
@@ -562,8 +567,7 @@ def _racy_reader(ctx, arrs, obs):
 
 
 def _check_racy(obs, mem):
-    assert obs == {"w": 5}
-    assert mem["w"] == [5]
+    _expect("racy_store_load", obs, {"w": 5}, mem, w=[5])
 
 
 _register(LitmusKernel(
@@ -601,9 +605,9 @@ def _multiline_consumer(ctx, arrs, obs):
 
 
 def _check_multiline(obs, mem):
-    expect = tuple(i * i for i in range(_HANDOFF_N))
-    assert obs == {1: expect}
-    assert mem["buf"] == list(expect)
+    want = tuple(i * i for i in range(_HANDOFF_N))
+    _expect("multiline_handoff_range_hints", obs, {1: want}, mem,
+            buf=list(want))
 
 
 _register(LitmusKernel(
@@ -628,8 +632,8 @@ def _false_sharing_program(ctx, arrs, obs):
 
 
 def _check_false_sharing(obs, mem):
-    assert obs == {0: 101, 1: 100}
-    assert mem["line"] == [100, 101]
+    _expect("false_sharing_one_line", obs, {0: 101, 1: 100}, mem,
+            line=[100, 101])
 
 
 _register(LitmusKernel(
@@ -651,8 +655,8 @@ def _private_reuse_program(ctx, arrs, obs):
 
 
 def _check_private_reuse(obs, mem):
-    assert obs == {tid: tid * 11 for tid in range(4)}
-    assert mem["priv"] == [0, 11, 22, 33]
+    _expect("private_reuse_empty_hints", obs,
+            {tid: tid * 11 for tid in range(4)}, mem, priv=[0, 11, 22, 33])
 
 
 _register(LitmusKernel(
@@ -696,8 +700,8 @@ def _reduction_program(ctx, arrs, obs):
 
 
 def _check_reduction(obs, mem):
-    assert obs == {tid: 10 for tid in range(4)}
-    assert mem["sum"] == [10]
+    _expect("inter_block_barrier_reduction", obs, {tid: 10 for tid in range(4)},
+            mem, sum=[10])
 
 
 _register(LitmusKernel(
@@ -819,8 +823,7 @@ def _redundant_wb_consumer(ctx, arrs, obs):
 
 
 def _check_redundant_wb(obs, mem):
-    assert obs == {"got": 5}
-    assert mem["a"] == [5]
+    _expect("redundant_wb_hint", obs, {"got": 5}, mem, a=[5])
 
 
 _register(LitmusKernel(
@@ -849,7 +852,7 @@ def _inv_uninit_other(ctx, arrs, obs):
 
 
 def _check_inv_uninit(obs, mem):
-    assert obs == {"u": (0, 0, 0, 0)}
+    _expect("inv_uninitialized_read", obs, {"u": (0, 0, 0, 0)}, mem)
 
 
 _register(LitmusKernel(

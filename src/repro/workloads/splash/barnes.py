@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.errors import expect
 from repro.common.rng import make_rng
 from repro.core.machine import Machine
 from repro.isa import ops as isa
@@ -107,7 +108,7 @@ class Barnes(ModelOneWorkload):
                 lid = _CELL_LOCK_BASE + cell
                 yield from ctx.lock_acquire(lid, occ=True)
                 cnt = yield isa.Read(ccount.addr(cell))
-                assert cnt < self.cell_cap, "cell overflow — raise cell_cap"
+                expect(cnt < self.cell_cap, "cell overflow — raise cell_cap")
                 yield isa.Write(citems.addr(cell, int(cnt)), i)
                 yield isa.Write(ccount.addr(cell), int(cnt) + 1)
                 yield from ctx.lock_release(lid, occ=True)
@@ -168,5 +169,5 @@ class Barnes(ModelOneWorkload):
         x, v = self.expected()
         got_x = np.array([machine.read_word(self.pos.addr(i)) for i in range(n)])
         got_v = np.array([machine.read_word(self.vel.addr(i)) for i in range(n)])
-        assert np.allclose(got_x, x, rtol=1e-6, atol=1e-8), "Barnes pos mismatch"
-        assert np.allclose(got_v, v, rtol=1e-6, atol=1e-8), "Barnes vel mismatch"
+        expect(np.allclose(got_x, x, rtol=1e-6, atol=1e-8), "Barnes pos mismatch")
+        expect(np.allclose(got_v, v, rtol=1e-6, atol=1e-8), "Barnes vel mismatch")

@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, expect
 from repro.common.rng import make_rng
 from repro.core.machine import Machine
 from repro.isa import ops as isa
@@ -185,6 +185,7 @@ class FFT(ModelOneWorkload):
     def verify(self, machine: Machine) -> None:
         got = np.array(machine.read_array(self.work), dtype=complex)
         want = self.expected()
-        assert np.allclose(got, want, rtol=1e-9, atol=1e-9), (
-            f"FFT mismatch: max err {np.max(np.abs(got - want))}"
+        expect(
+            np.allclose(got, want, rtol=1e-9, atol=1e-9),
+            f"FFT mismatch: max err {np.max(np.abs(got - want))}",
         )

@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from repro.common.errors import expect
 from repro.common.rng import make_rng
 from repro.core.machine import Machine
 from repro.isa import ops as isa
@@ -154,11 +155,11 @@ class Raytrace(ModelOneWorkload):
         got = np.array(
             [machine.read_word(self.image.addr(p)) for p in range(self.n_pixels)]
         )
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12), "Raytrace mismatch"
+        expect(np.allclose(got, want, rtol=1e-12, atol=1e-12), "Raytrace mismatch")
         # The racy progress counters must each hold that thread's own final
         # tile count (last write wins; each cell has a single writer).
         total = sum(
             machine.read_word(self.progress.addr(t))
             for t in range(machine.num_threads)
         )
-        assert total == self.n_tiles, f"progress total {total} != {self.n_tiles}"
+        expect(total == self.n_tiles, f"progress total {total} != {self.n_tiles}")

@@ -79,6 +79,18 @@ def test_run_staleness_mode_inter(capsys):
     assert "ep under Addr+L: verified OK, 0 stale read(s) detected" in out
 
 
+def test_run_staleness_reports_stale_reads_and_a_failed_verify(capsys):
+    """The known sisd raytrace failure: the detector's report and the
+    verifier's verdict both print, and the run exits 1 with no traceback."""
+    argv = ["run", "raytrace", "--model", "sisd", "--config", "Base",
+            "--scale", "0.25", "--staleness"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "StaleRead(" in captured.out
+    assert "progress total 15 != 8" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def _fail_oracle(monkeypatch, name):
     """Make *name*'s self-checking oracle fail (in-process runs only)."""
     import dataclasses

@@ -130,6 +130,21 @@ def test_cli_defaults_are_the_served_defaults(kind, argv, served):
     assert cli.description == srv.description
 
 
+def test_empty_litmus_spec_runs_every_kernel():
+    """A served ``litmus`` job naming no kernel runs what ``repro litmus``
+    runs: every registered kernel (``all: true`` still means the same)."""
+    from repro.workloads.litmus import LITMUS
+
+    cli = compile_job({
+        "kind": "litmus",
+        "spec": spec_from_args("litmus", build_parser().parse_args(["litmus"])),
+    })
+    for spec in ({}, {"all": True}):
+        job = compile_job({"kind": "litmus", "spec": spec})
+        assert [u.cell for u in job.units] == [u.cell for u in cli.units]
+        assert job.description == f"{len(LITMUS)} litmus kernel(s)"
+
+
 @pytest.mark.parametrize("argv, flag, kind, spec, field", [
     (["chaos", "--workload", "mp_flag", "--plans", "0"], "--plans",
      "chaos", {"plans": 0}, "plans"),
