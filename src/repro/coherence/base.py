@@ -41,9 +41,10 @@ class FusedHooks(NamedTuple):
       epochs; ``None`` when the protocol has none.
     * ``meb``: the core's MEB, which records each clean→dirty store;
       ``None`` when nothing records.
-    * ``fill``: whether a plain L1 miss that hits the home L2 bank is
-      filled inline with the incoherent fill; ``False`` sends every miss
-      to the protocol.
+    * ``fill``: whether a plain L1 miss is first offered to the
+      protocol's ``fill_from_l2`` (the incoherent L2-hit fill, which a
+      model changes by overriding ``_install_l1``); ``False`` sends every
+      miss to the protocol.
 
     How a memory model's plain accesses differ from the incoherent base
     (``None`` keeps the base rule).  Each callback takes the line address
@@ -53,7 +54,6 @@ class FusedHooks(NamedTuple):
       access to the protocol.
     * ``fresh(la, line, word)`` decides whether a resident line may serve
       a read hit; ``False`` hands the read to the protocol.
-    * ``on_fill(la)`` runs after an inline L1 fill from the home L2.
     * ``on_write(la)`` runs after every store the loop completes inline.
 
     Any access the loop hands over is re-run whole by the protocol, so
@@ -64,7 +64,6 @@ class FusedHooks(NamedTuple):
 
     admit: Callable[[int], bool] | None = None
     fresh: Callable[[int, CacheLine, int], bool] | None = None
-    on_fill: Callable[[int], None] | None = None
     on_write: Callable[[int], None] | None = None
     store_state: MESIState = MESIState.NA
     ieb: IEB | None = None
@@ -89,6 +88,21 @@ class Protocol(ABC):
         #: Memo for ``_overlapped``: distinct latencies are few (table-driven
         #: geometry), so overlap scaling is computed once per value.
         self._ov_cache: dict[int, int] = {}
+
+    def _overlapped(self, latency: int) -> int:
+        """Latency partially hidden by ILP / the write buffer.
+
+        Applied to L1 load hits and to stores (which retire through the
+        write buffer, Section III-C).  Load misses and WB/INV stalls are
+        charged in full — "the latency of WB and INV instructions is often
+        hard to hide" (Section VII-C).
+        """
+        cached = self._ov_cache.get(latency)
+        if cached is None:
+            overlap = self.machine.core.overlap
+            cached = max(1, round(latency * (1.0 - overlap)))
+            self._ov_cache[latency] = cached
+        return cached
 
     # -- plain accesses -------------------------------------------------------
 

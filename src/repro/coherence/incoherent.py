@@ -158,13 +158,10 @@ class IncoherentProtocol(Protocol):
         return hier.mem_latency(core), line
 
     def _fill_l2(self, core: int, line_addr: int) -> tuple[int, CacheLine]:
-        """Ensure residency in the requesting block's L2; return (lat, line)."""
+        """Fill *line_addr*, which the requesting block's L2 misses, from
+        the L3 (or memory) into its home L2 bank; return (lat, line)."""
         hier = self.hier
-        block = hier.block_of_core(core)
-        bank = hier.l2_bank_of(block, line_addr)
-        line = bank.lookup(line_addr)
-        if line is not None:
-            return hier.l2_latency(core, line_addr), line
+        bank = hier.l2_bank_of(hier.block_of_core(core), line_addr)
         if hier.has_l3:
             lat, l3_line = self._fill_l3(core, line_addr)
             data = list(l3_line.data)
@@ -226,21 +223,46 @@ class IncoherentProtocol(Protocol):
             i += 1
         dst.dirty_mask |= mask
 
+    def fill_from_l2(self, core: int, line_addr: int) -> tuple[int, CacheLine] | None:
+        """Fill the core's L1 with *line_addr* from the block's home L2
+        bank; return (lat, line), or ``None``, with no side effect, when
+        that bank misses.
+
+        The fast engine's fused loop fills a plain L1 miss through this
+        method too, so it is the only statement of an L2-hit fill.
+        """
+        hier = self.hier
+        l2_line = hier.l2_lookup(hier.block_of_core(core), line_addr)
+        if l2_line is None:
+            return None
+        lat = hier.l2_latency(core, line_addr)
+        return lat, self._install_l1(core, l2_line)
+
     def _fetch_into_l1(self, core: int, line_addr: int) -> tuple[int, CacheLine]:
         """Fetch a fresh copy of *line_addr* into the core's L1."""
-        hier = self.hier
+        filled = self.fill_from_l2(core, line_addr)
+        if filled is not None:
+            return filled
         lat, l2_line = self._fill_l2(core, line_addr)
-        l1 = hier.l1s[core]
-        line = CacheLine(line_addr, list(l2_line.data))
-        victim = l1.insert(line)
+        return lat, self._install_l1(core, l2_line)
+
+    def _install_l1(self, core: int, l2_line: CacheLine) -> CacheLine:
+        """Install a copy of *l2_line* in the core's L1; return the copy.
+
+        A dirty victim's words go down off the critical path.  A model
+        that changes what a fill does overrides this method.
+        """
+        hier = self.hier
+        line = CacheLine(l2_line.line_addr, list(l2_line.data))
+        victim = hier.l1s[core].insert(line)
         if victim is not None and victim.dirty:
             self._wb_l1_line(core, victim, critical=False)
             if self.tracer is not None or self.metrics is not None:
                 self._obs_line_event("evict", core, victim.line_addr, "L1")
         hier.count_line_transfer(TrafficCat.LINEFILL)
         if self.tracer is not None or self.metrics is not None:
-            self._obs_line_event("fill", core, line_addr, "L1")
-        return lat, line
+            self._obs_line_event("fill", core, line.line_addr, "L1")
+        return line
 
     def _wb_l1_line(
         self, core: int, line: CacheLine, *, critical: bool, to_l3: bool = False
@@ -310,40 +332,50 @@ class IncoherentProtocol(Protocol):
         hier = self.hier
         line_addr = hier.line_of(byte_addr)
         word = hier.word_of(byte_addr)
-        l1 = hier.l1s[core]
-        line = l1.lookup(line_addr)
+        line = hier.l1s[core].lookup(line_addr)
         ieb = self.iebs[core]
 
-        if ieb.armed:
-            if ieb.contains(line_addr):
-                pass  # refreshed earlier this epoch
-            elif line is not None and line.is_word_dirty(word):
-                pass  # written by this core this epoch — cannot be stale
-            else:
-                # First read of this line in the epoch: refresh it.
-                ieb.insert(line_addr)
-                if line is not None:
-                    if line.dirty:
-                        self._wb_l1_line(core, line, critical=True)
-                    l1.remove(line_addr)
-                    self.stats.per_core[core].lines_invalidated += 1
-                lat, line = self._fetch_into_l1(core, line_addr)
-                self.stats.per_core[core].l1_misses += 1
-                if self.detect_staleness:
-                    self._check_stale(core, byte_addr, line.data[word])
-                return lat, line.data[word]
+        if (
+            ieb.armed
+            and not ieb.contains(line_addr)  # refreshed earlier this epoch
+            # A word this core wrote this epoch cannot be stale.
+            and not (line is not None and line.is_word_dirty(word))
+        ):
+            # First read of this line in the epoch: refresh it.
+            ieb.insert(line_addr)
+            return self._refetch(core, byte_addr, line)
 
-        if line is not None:
-            self.stats.per_core[core].l1_hits += 1
-            if self.detect_staleness:
-                self._check_stale(core, byte_addr, line.data[word])
-            return self._overlapped(hier.l1_latency()), line.data[word]
-
-        lat, line = self._fetch_into_l1(core, line_addr)
-        self.stats.per_core[core].l1_misses += 1
+        if line is None:
+            return self._refetch(core, byte_addr, None)
+        self.stats.per_core[core].l1_hits += 1
         if self.detect_staleness:
             self._check_stale(core, byte_addr, line.data[word])
-        return lat, line.data[word]
+        return self._overlapped(hier.l1_latency()), line.data[word]
+
+    def _refetch(
+        self, core: int, byte_addr: int, line: CacheLine | None
+    ) -> tuple[int, Any]:
+        """Read *byte_addr* from a fresh copy of its line; return (lat,
+        value).
+
+        *line* is the core's resident copy, or ``None`` on a plain miss.
+        A resident copy is dropped first, its dirty words written back,
+        so they return merged into the fresh one.
+        """
+        hier = self.hier
+        line_addr = hier.line_of(byte_addr)
+        stats = self.stats.per_core[core]
+        if line is not None:
+            if line.dirty:
+                self._wb_l1_line(core, line, critical=True)
+            hier.l1s[core].remove(line_addr)
+            stats.lines_invalidated += 1
+        lat, line = self._fetch_into_l1(core, line_addr)
+        stats.l1_misses += 1
+        value = line.data[hier.word_of(byte_addr)]
+        if self.detect_staleness:
+            self._check_stale(core, byte_addr, value)
+        return lat, value
 
     def write(self, core: int, byte_addr: int, value: Any) -> int:
         hier = self.hier
@@ -365,21 +397,6 @@ class IncoherentProtocol(Protocol):
         if self.detect_staleness:
             self._shadow[hier.word_addr(byte_addr)] = value
         return self._overlapped(lat)
-
-    def _overlapped(self, latency: int) -> int:
-        """Latency partially hidden by ILP / the write buffer.
-
-        Applied to L1 load hits and to stores (which retire through the
-        write buffer, Section III-C).  Load misses and WB/INV stalls are
-        charged in full — "the latency of WB and INV instructions is often
-        hard to hide" (Section VII-C).
-        """
-        cached = self._ov_cache.get(latency)
-        if cached is None:
-            overlap = self.machine.core.overlap
-            cached = max(1, round(latency * (1.0 - overlap)))
-            self._ov_cache[latency] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # WB flavors
@@ -463,19 +480,29 @@ class IncoherentProtocol(Protocol):
         l1_lines = self._resident_lines_in_range(
             hier.l1s[core], byte_addr, length
         )
+        return self._wb_lines_global(
+            core, l1_lines, hier.lines_overlapping(byte_addr, length)
+        )
+
+    def _wb_lines_global(
+        self, core: int, l1_lines: list[CacheLine], line_addrs
+    ) -> int:
+        """WB *l1_lines* to the L3, then push through the dirty words the
+        block L2 holds for *line_addrs* (the lines the WB names)."""
+        hier = self.hier
         lat = self._wb_lines(core, l1_lines, to_l3=True)
         # The line may carry earlier dirty words parked in the L2
         # (Section V-B: "may require checking both the L1 and L2 tags").
         block = hier.block_of_core(core)
         extra_flits = 0
-        for la in hier.lines_overlapping(byte_addr, length):
+        for la in line_addrs:
             l2_line = hier.l2_lookup(block, la, touch=False)
             if l2_line is not None and l2_line.dirty:
                 extra_flits += self._push_l2_words_to_l3(
                     core, l2_line, l2_line.dirty_mask
                 )
         if extra_flits and lat == 0:
-            lat = self._global_level_latency(core, hier.line_of(byte_addr))
+            lat = self._global_level_latency(core, line_addrs[0])
         return max(lat + max(0, extra_flits - 1), hier.l1_latency())
 
     def wb_cons_all(self, core: int, cons_tid: int) -> int:
@@ -491,14 +518,25 @@ class IncoherentProtocol(Protocol):
 
     def wb_all_l3(self, core: int) -> int:
         """WB ALL through to the L3: local L1, then the whole block L2."""
+        return self._wb_all_global(core, list(self.hier.l1s[core].dirty_lines()))
+
+    def _wb_all_global(
+        self,
+        core: int,
+        l1_lines: list[CacheLine],
+        keep: set[int] | None = None,
+    ) -> int:
+        """Walk the L1's tags and WB *l1_lines* to the L3, then push down
+        every dirty line of the block L2 (only those in *keep*, if given)."""
         hier = self.hier
-        l1 = hier.l1s[core]
-        lat = hier.tag_walk_latency(l1)
-        lat += self._wb_lines(core, list(l1.dirty_lines()), to_l3=True)
+        lat = hier.tag_walk_latency(hier.l1s[core])
+        lat += self._wb_lines(core, l1_lines, to_l3=True)
         block = hier.block_of_core(core)
         flits = 0
         dirty_l2 = [
-            line for line in hier.l2_lines_of_block(block) if line.dirty
+            line
+            for line in hier.l2_lines_of_block(block)
+            if line.dirty and (keep is None or line.line_addr in keep)
         ]
         for line in dirty_l2:
             flits += self._push_l2_words_to_l3(core, line, line.dirty_mask)
@@ -590,21 +628,28 @@ class IncoherentProtocol(Protocol):
 
     def inv_all_l2(self, core: int) -> int:
         """INV ALL from both the L1 and the whole local block L2."""
-        hier = self.hier
         lat = self.inv_all(core)
-        block = hier.block_of_core(core)
+        return lat + self._inv_block_l2(core)
+
+    def _inv_block_l2(self, core: int, keep: set[int] | None = None) -> int:
+        """Drop every line of the block L2 (only those in *keep*, if
+        given), pushing dirty words down first; return the walk's cost."""
+        hier = self.hier
+        banks = hier.l2_banks[hier.block_of_core(core)]
         flits = 0
         removed = 0
-        for bank in hier.l2_banks[block]:
+        for bank in banks:
             for line in list(bank.lines()):
+                if keep is not None and line.line_addr not in keep:
+                    continue
                 if line.dirty:
                     flits += self._push_l2_words_to_l3(core, line, line.dirty_mask)
                 bank.remove(line.line_addr)
                 removed += 1
         self.stats.global_inv_lines += removed
-        if removed:
-            lat += hier.tag_walk_latency(hier.l2_banks[block][0]) + max(0, flits - 1)
-        return lat
+        if not removed:
+            return 0
+        return hier.tag_walk_latency(banks[0]) + max(0, flits - 1)
 
     # ------------------------------------------------------------------
     # epochs

@@ -491,15 +491,6 @@ class MESIProtocol(Protocol):
         else:
             hier.count_control(TrafficCat.INVALIDATION)  # replacement hint
 
-    def _overlapped(self, latency: int) -> int:
-        """ILP / write-buffer latency hiding for L1 hits and stores."""
-        cached = self._ov_cache.get(latency)
-        if cached is None:
-            overlap = self.machine.core.overlap
-            cached = max(1, round(latency * (1.0 - overlap)))
-            self._ov_cache[latency] = cached
-        return cached
-
     def _obs_fill(self, core: int, line_addr: int) -> None:
         """Report one L1 fill to the attached observability sinks."""
         if self.tracer is not None:

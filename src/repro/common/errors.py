@@ -63,3 +63,28 @@ def expect(ok: bool, message: str, *args) -> None:
     """
     if not ok:
         raise AssertionError(message.format(*args) if args else message)
+
+
+def expect_close(name: str, got, want, *, rtol: float, atol: float) -> None:
+    """A verifier's array check: :func:`expect` that *got* is
+    ``np.allclose`` to *want* under *rtol*/*atol*.
+
+    On failure the message names the array *name*, its first differing
+    flat index (and the index in *want*'s shape), the observed and the
+    expected value there, and how many elements differ.
+    """
+    import numpy as np
+
+    got, want = np.broadcast_arrays(np.asarray(got), np.asarray(want))
+    close = np.isclose(got, want, rtol=rtol, atol=atol)
+    if close.all():
+        return
+    bad = np.flatnonzero(~close)
+    i = int(bad[0])
+    where = tuple(int(k) for k in np.unravel_index(i, want.shape))
+    raise AssertionError(
+        f"{name} mismatch at flat index {i} {list(where)}: got "
+        f"{got.flat[i].item()!r}, expected {want.flat[i].item()!r} "
+        f"({bad.size} of {want.size} elements differ; rtol={rtol:g}, "
+        f"atol={atol:g})"
+    )

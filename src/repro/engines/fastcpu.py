@@ -13,13 +13,20 @@ functions, each stating its per-word rule once:
 
 * ``load(addr) -> value``: ``admit``, then a hit — a resident line serves
   the read when the IEB is not armed, the line is in the IEB or the word
-  is locally dirty, and ``fresh`` passes — then an inline fill of a plain
-  miss that hits the home L2 bank (IEB permitting, ``l2_fetch``), else the
-  whole read goes to the protocol's ``read``.
+  is locally dirty, and ``fresh`` passes — then, for a plain miss (IEB
+  permitting), the protocol's ``fill_from_l2``, else the whole read goes
+  to the protocol's ``read``.
 * ``store(addr, value)``: ``admit``, then a resident line in the store
-  state or an inline fill; either takes the word, sets its dirty bit,
+  state or a ``fill_from_l2``; either takes the word, sets its dirty bit,
   records a clean→dirty line in the MEB and calls ``on_write``; else the
   whole store goes to the protocol's ``write``.
+
+The inline fill *is* ``IncoherentProtocol.fill_from_l2``, the method the
+protocol's own misses take when the home L2 bank holds the line: the
+touching L2 probe, the L1 install (``_install_l1``, which a model
+overrides to change a fill), and ``hier.l2_latency``, which applies
+injected NoC faults.  On an L2 miss it returns ``None`` with no side
+effect and the whole access goes to the protocol.
 
 ``Read`` and ``Write`` call a rule once, ``ReadBatch`` and ``WriteBatch``
 once per word, and ``MapBatch`` (a whole loop chunk) once per read and
@@ -32,10 +39,10 @@ The same loop serves directory MESI, the incoherent hierarchy, and every
 memory model built on it (:mod:`repro.models`).  Each protocol states its
 rules once per core as :class:`~repro.coherence.base.FusedHooks`: the line
 state a store needs to complete inline, its IEB and MEB (if any), whether
-a miss may be filled inline from the home L2, and the model callbacks
-(``admit``, ``fresh``, ``on_fill``, ``on_write``) the rules call around
-their inline hits and fills.  Everything else — misses, IEB-armed
-refreshes, MESI E/S-state stores, rc lazy refreshes, sisd ownership flips,
+a miss may be offered to ``fill_from_l2``, and the model callbacks
+(``admit``, ``fresh``, ``on_write``) the rules call around their inline
+hits and fills.  Everything else — L2 misses, IEB-armed refreshes, MESI
+misses and E/S-state stores, rc lazy refreshes, sisd ownership flips,
 WB/INV instructions, synchronization — delegates to the *shared*
 protocol/sync implementations, so the complex paths have exactly one
 implementation and the fast engine inherits their semantics (and their
@@ -72,11 +79,10 @@ incoherent hit and fill are the two rules above:
 
 * rc: ``fresh`` passes when the line was filled in the current acquire
   epoch or the word is locally dirty; a stale line goes to ``rc.read``,
-  which runs the lazy refresh.  The inline fill stamps the fill epoch
-  through ``on_fill`` exactly as ``rc._fetch_into_l1`` does, and every
-  inline store adds its line to the region write set through
-  ``on_write`` (a set insert, so ``rc.write`` repeating it on a delegated
-  store changes nothing).
+  which runs the lazy refresh.  Every fill, inline or not, stamps its
+  epoch in rc's ``_install_l1``, and every inline store adds its line to
+  the region write set through ``on_write`` (a set insert, so
+  ``rc.write`` repeating it on a delegated store changes nothing).
 * sisd: ``admit`` records the first owner and returns True unless the
   access flips the line private→shared; a flip sends the whole access to
   ``sisd.read``/``sisd.write`` *before* any fused side effect, so the
@@ -127,8 +133,7 @@ from repro.coherence.base import FusedHooks, Protocol
 from repro.common.params import WORD_BYTES
 from repro.core.cpu import CPU
 from repro.isa import ops as isa
-from repro.mem.line import CacheLine
-from repro.sim.stats import StallCat, TrafficCat
+from repro.sim.stats import StallCat
 
 
 def _defined_in(cls: type, name: str) -> type:
@@ -247,7 +252,7 @@ class _LineBlocks:
         cannot serve (or the end); return it and the L1 hits the blocks
         made.  Takes the LRU stamp counter from ``l1._stamp`` and leaves
         it there, as a delegated access does."""
-        admit, fresh, _, on_write, wstate, ieb, meb, _ = hooks
+        admit, fresh, on_write, wstate, ieb, meb, _ = hooks
         meb_record = None if meb is None else meb.record_write
         index_get = l1._index.get
         lines_arr = l1._lines
@@ -418,64 +423,21 @@ class FastCPU(CPU):
         line_shift = line_bytes.bit_length() - 1
         off_mask = line_bytes - 1
         words_per_line = line_bytes >> 2
-        hit_lat = max(
-            1, round(hier.l1_latency() * (1.0 - proto.machine.core.overlap))
-        )
+        hit_lat = proto._overlapped(hier.l1_latency())
         # The protocol's rules for this core (see FusedHooks); the model
         # callbacks are all None for the base protocol and MESI.
-        admit, fresh, on_fill, on_write, wstate, ieb, meb, fill = hooks
+        admit, fresh, on_write, wstate, ieb, meb, fill = hooks
         meb_record = None if meb is None else meb.record_write
         proto_read = proto.read
         proto_write = proto.write
+        if fill:
+            fill_from_l2 = proto.fill_from_l2
         Read, Write, Compute = isa.Read, isa.Write, isa.Compute
         ReadBatch, WriteBatch, MapBatch = isa.ReadBatch, isa.WriteBatch, isa.MapBatch
 
-        if fill:
-            # The incoherent inline fill's locals (see l2_fetch).
-            ov = proto._overlapped
-            l2_row = hier.l2_banks[hier.block_of_core(core_id)]
-            cpb = hier.machine.cores_per_block
-            l2_lat_row = hier._l2_lat[core_id]
-            count_line = hier.count_line_transfer
-            linefill = TrafficCat.LINEFILL
-            wb_l1 = proto._wb_l1_line
-            l1_insert = l1.insert
-
-            def l2_fetch(la):
-                """Inline ``_fetch_into_l1`` for a plain L1 miss that hits
-                the home L2 bank: same touch, same victim handling
-                (delegated), same LINEFILL accounting, same ``on_fill``
-                hook.  Returns ``None`` on an L2 miss — the caller then
-                delegates the whole access to the shared protocol, which
-                re-probes without side effects."""
-                nonlocal stamp, misses
-                if faults is not None:
-                    # Chaos runs route every miss through the shared
-                    # protocol so injected NoC/memory delays apply; the
-                    # inline path assumes the fault-free latency tables.
-                    return None
-                bank = l2_row[la % cpb]
-                bslot = bank._index.get(la)
-                if bslot is None:
-                    return None
-                bs = bank._stamp + 1
-                bank._stamp = bs
-                bank._stamps[bslot] = bs
-                line = CacheLine(la, list(bank._lines[bslot].data))
-                l1._stamp = stamp
-                victim = l1_insert(line)
-                if victim is not None and victim.dirty:
-                    wb_l1(core_id, victim, critical=False)
-                stamp = l1._stamp
-                count_line(linefill)
-                misses += 1
-                if on_fill is not None:
-                    on_fill(la)
-                return line
-
         def load(addr):
             """The read rule: one word's value."""
-            nonlocal stamp, hits, cyc
+            nonlocal stamp, hits, misses, cyc
             la = addr >> line_shift
             if admit is None or admit(la):
                 slot = index_get(la)
@@ -492,9 +454,13 @@ class FastCPU(CPU):
                         hits += 1
                         return line.data[word]
                 elif fill and (not armed or ieb._mask >> la & 1):
-                    line = l2_fetch(la)
-                    if line is not None:
-                        cyc += l2_lat_row[la % cpb]
+                    l1._stamp = stamp
+                    filled = fill_from_l2(core_id, la)
+                    stamp = l1._stamp
+                    if filled is not None:
+                        misses += 1
+                        lat, line = filled
+                        cyc += lat
                         return line.data[(addr & off_mask) >> 2]
             l1._stamp = stamp
             lat, value = proto_read(core_id, addr)
@@ -504,14 +470,20 @@ class FastCPU(CPU):
 
         def store(addr, value):
             """The write rule: store one word."""
-            nonlocal stamp, hits, cyc
+            nonlocal stamp, hits, misses, cyc
             la = addr >> line_shift
             if admit is None or admit(la):
                 slot = index_get(la)
                 if slot is None:
-                    line = l2_fetch(la) if fill else None
-                    if line is not None:
-                        cyc += ov(l2_lat_row[la % cpb])
+                    line = None
+                    if fill:
+                        l1._stamp = stamp
+                        filled = fill_from_l2(core_id, la)
+                        stamp = l1._stamp
+                        if filled is not None:
+                            misses += 1
+                            lat, line = filled
+                            cyc += proto._overlapped(lat)
                 elif (line := lines_arr[slot]).state is wstate:
                     stamp += 1
                     stamps[slot] = stamp

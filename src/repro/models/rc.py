@@ -67,14 +67,13 @@ class RegionalConsistencyProtocol(IncoherentProtocol):
         self._acq_epoch: list[int] = [0] * n
         #: Epoch each resident line was last filled in.
         self._line_epoch: list[dict[int, int]] = [{} for _ in range(n)]
-        #: Per-core plain-access rules, shared by :meth:`read`, the fill
-        #: path, and the fast engine's fused loop (:meth:`fused_hooks`).
+        #: Per-core plain-access rules, shared by :meth:`read`,
+        #: :meth:`write` and the fast engine's fused loop (:meth:`fused_hooks`).
         self._hooks = [self._make_hooks(core) for core in range(n)]
 
     def _make_hooks(self, core: int) -> FusedHooks:
         acq_epoch = self._acq_epoch
-        line_epoch = self._line_epoch[core]
-        epoch_of = line_epoch.get
+        epoch_of = self._line_epoch[core].get
 
         def fresh(la: int, line: CacheLine, word: int) -> bool:
             """Filled in the current acquire epoch, or the word is ours."""
@@ -83,19 +82,15 @@ class RegionalConsistencyProtocol(IncoherentProtocol):
                 or line.dirty_mask >> word & 1 == 1
             )
 
-        def on_fill(la: int) -> None:
-            # Every fill counts as fresh for the current region.
-            line_epoch[la] = acq_epoch[core]
-
         # The containers above are mutated in place, never reassigned, so
         # the callbacks stay bound to live state.
         return super().fused_hooks(core)._replace(
-            fresh=fresh, on_fill=on_fill,
-            on_write=self._region_writes[core].add,
+            fresh=fresh, on_write=self._region_writes[core].add,
         )
 
     def fused_hooks(self, core: int) -> FusedHooks:
-        """Lazy-refresh check, fill-epoch stamp, and region-set insert."""
+        """Lazy-refresh check and region-set insert; inline fills stamp
+        their epoch through :meth:`_install_l1`."""
         return self._hooks[core]
 
     # -- region bookkeeping -------------------------------------------------
@@ -115,38 +110,26 @@ class RegionalConsistencyProtocol(IncoherentProtocol):
                 out.append(line)
         return out
 
-    def _fetch_into_l1(self, core: int, line_addr: int) -> tuple[int, CacheLine]:
-        lat, line = super()._fetch_into_l1(core, line_addr)
+    def _install_l1(self, core: int, l2_line: CacheLine) -> CacheLine:
+        line = super()._install_l1(core, l2_line)
         # Stamp every fill with the current epoch so read-misses, write
         # allocations, and refreshes all count as fresh for this region.
-        self._hooks[core].on_fill(line_addr)
-        return lat, line
+        self._line_epoch[core][line.line_addr] = self._acq_epoch[core]
+        return line
 
     # -- plain accesses -----------------------------------------------------
 
     def read(self, core: int, byte_addr: int) -> tuple[int, Any]:
         hier = self.hier
-        line_addr = hier.line_of(byte_addr)
-        l1 = hier.l1s[core]
-        line = l1.lookup(line_addr)
+        line = hier.l1s[core].lookup(hier.line_of(byte_addr))
         if line is not None and not self._hooks[core].fresh(
-            line_addr, line, hier.word_of(byte_addr)
+            line.line_addr, line, hier.word_of(byte_addr)
         ):
             # First read of a pre-region line: lazy refresh (the acquire's
             # deferred invalidation).  Words this core dirtied survive —
             # they ride back down and return merged into the fresh copy.
-            if line.dirty:
-                self._wb_l1_line(core, line, critical=True)
-            l1.remove(line_addr)
-            stats = self.stats.per_core[core]
-            stats.lines_invalidated += 1
-            stats.l1_misses += 1
             self.stats.rc_lazy_refreshes += 1
-            lat, fresh = self._fetch_into_l1(core, line_addr)
-            word = hier.word_of(byte_addr)
-            if self.detect_staleness:
-                self._check_stale(core, byte_addr, fresh.data[word])
-            return lat, fresh.data[word]
+            return self._refetch(core, byte_addr, line)
         return super().read(core, byte_addr)
 
     def write(self, core: int, byte_addr: int, value: Any) -> int:
@@ -165,26 +148,16 @@ class RegionalConsistencyProtocol(IncoherentProtocol):
         return max(lat, self.hier.l1_latency())
 
     def wb_all_l3(self, core: int) -> int:
-        hier = self.hier
         lines = self._region_dirty_lines(core)
-        lat = self._wb_lines(core, lines, to_l3=True)
         self.stats.rc_region_wb_lines += len(lines)
         self.stats.global_wb_lines += len(lines)
         # Region lines may carry earlier dirty words parked in the block
         # L2 (a dirty L1 eviction mid-region); push those through too.
-        block = hier.block_of_core(core)
-        touched = sorted(self._region_writes[core])
-        flits = 0
-        for la in touched:
-            l2_line = hier.l2_lookup(block, la, touch=False)
-            if l2_line is not None and l2_line.dirty:
-                flits += self._push_l2_words_to_l3(
-                    core, l2_line, l2_line.dirty_mask
-                )
-        if flits and lat == 0:
-            lat = self._global_level_latency(core, touched[0])
+        lat = self._wb_lines_global(
+            core, lines, sorted(self._region_writes[core])
+        )
         self._region_writes[core].clear()
-        return max(lat + max(0, flits - 1), hier.l1_latency())
+        return lat
 
     # -- INV flavors: lazy acquire epochs ----------------------------------
 

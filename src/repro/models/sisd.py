@@ -39,6 +39,7 @@ from repro.coherence.base import FusedHooks
 from repro.coherence.hierarchy import Hierarchy
 from repro.coherence.incoherent import IncoherentProtocol
 from repro.coherence.threadmap import ThreadMapTable
+from repro.mem.line import CacheLine
 
 
 class SelfInvalidationProtocol(IncoherentProtocol):
@@ -148,39 +149,24 @@ class SelfInvalidationProtocol(IncoherentProtocol):
 
     # -- self-downgrade (every WB flavor) -----------------------------------
 
-    def _sd_local(self, core: int) -> int:
-        hier = self.hier
-        l1 = hier.l1s[core]
+    def _shared_dirty_lines(self, core: int) -> list[CacheLine]:
+        """The core's dirty L1 lines of shared data, counted as downgrades."""
         lines = [
-            line for line in l1.dirty_lines() if line.line_addr in self._shared
+            line
+            for line in self.hier.l1s[core].dirty_lines()
+            if line.line_addr in self._shared
         ]
         self.stats.sisd_self_downgrades += len(lines)
-        return hier.tag_walk_latency(l1) + self._wb_lines(core, lines)
+        return lines
+
+    def _sd_local(self, core: int) -> int:
+        lat = self.hier.tag_walk_latency(self.hier.l1s[core])
+        return lat + self._wb_lines(core, self._shared_dirty_lines(core))
 
     def _sd_global(self, core: int) -> int:
-        hier = self.hier
-        l1 = hier.l1s[core]
-        lat = hier.tag_walk_latency(l1)
-        lines = [
-            line for line in l1.dirty_lines() if line.line_addr in self._shared
-        ]
-        self.stats.sisd_self_downgrades += len(lines)
-        lat += self._wb_lines(core, lines, to_l3=True)
-        block = hier.block_of_core(core)
-        shared_l2 = [
-            line
-            for line in hier.l2_lines_of_block(block)
-            if line.dirty and line.line_addr in self._shared
-        ]
-        flits = 0
-        for line in shared_l2:
-            flits += self._push_l2_words_to_l3(core, line, line.dirty_mask)
-        self.stats.global_wb_lines += len(shared_l2)
-        if flits:
-            lat += self._global_level_latency(
-                core, shared_l2[0].line_addr
-            ) + max(0, flits - 1)
-        return lat
+        return self._wb_all_global(
+            core, self._shared_dirty_lines(core), keep=self._shared
+        )
 
     def wb_range(self, core: int, byte_addr: int, length: int) -> int:
         return self._sd_local(core)
@@ -218,27 +204,8 @@ class SelfInvalidationProtocol(IncoherentProtocol):
         return hier.tag_walk_latency(l1) + self._inv_l1_lines(core, las)
 
     def _si_global(self, core: int) -> int:
-        hier = self.hier
         lat = self._si_local(core)
-        block = hier.block_of_core(core)
-        flits = 0
-        removed = 0
-        for bank in hier.l2_banks[block]:
-            for line in list(bank.lines()):
-                if line.line_addr not in self._shared:
-                    continue
-                if line.dirty:
-                    flits += self._push_l2_words_to_l3(
-                        core, line, line.dirty_mask
-                    )
-                bank.remove(line.line_addr)
-                removed += 1
-        self.stats.global_inv_lines += removed
-        if removed:
-            lat += hier.tag_walk_latency(hier.l2_banks[block][0]) + max(
-                0, flits - 1
-            )
-        return lat
+        return lat + self._inv_block_l2(core, keep=self._shared)
 
     def inv_range(self, core: int, byte_addr: int, length: int) -> int:
         return self._si_local(core)

@@ -204,11 +204,6 @@ def _given(values: list[str]) -> list[str] | None:
     return values or None
 
 
-def _all_unless_named(kernels: list[str]) -> bool | None:
-    """true when no kernel is named"""
-    return None if kernels else True
-
-
 def _off(_: bool) -> bool:
     """false"""
     return False
@@ -288,7 +283,7 @@ def _field_tables() -> dict[str, tuple[Field, ...]]:
             matrix,
             kernels,
             Field("all", bool, "run every registered kernel, as when none "
-                  "is named", False, flag="kernel", from_cli=_all_unless_named),
+                  "is named", False),
             model("memory model for direct runs (default: $REPRO_MODEL or "
                   "base)", choices=available_models),
             engine("simulator core for direct runs"),

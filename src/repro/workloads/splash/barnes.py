@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.errors import expect
+from repro.common.errors import expect, expect_close
 from repro.common.rng import make_rng
 from repro.core.machine import Machine
 from repro.isa import ops as isa
@@ -169,5 +169,5 @@ class Barnes(ModelOneWorkload):
         x, v = self.expected()
         got_x = np.array([machine.read_word(self.pos.addr(i)) for i in range(n)])
         got_v = np.array([machine.read_word(self.vel.addr(i)) for i in range(n)])
-        expect(np.allclose(got_x, x, rtol=1e-6, atol=1e-8), "Barnes pos mismatch")
-        expect(np.allclose(got_v, v, rtol=1e-6, atol=1e-8), "Barnes vel mismatch")
+        expect_close(self.pos.name, got_x, x, rtol=1e-6, atol=1e-8)
+        expect_close(self.vel.name, got_v, v, rtol=1e-6, atol=1e-8)

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from repro.common.errors import expect
+from repro.common.errors import expect_close
 from repro.common.rng import make_rng
 from repro.core.machine import Machine
 from repro.isa import ops as isa
@@ -146,7 +146,4 @@ class Cholesky(ModelOneWorkload):
         for i in range(n):
             for j in range(i + 1):
                 got[i, j] = machine.read_word(self.mat.addr(i, j))
-        expect(
-            np.allclose(got, want, rtol=1e-7, atol=1e-8),
-            f"Cholesky mismatch: max err {np.max(np.abs(got - want))}",
-        )
+        expect_close(self.mat.name, got, want, rtol=1e-7, atol=1e-8)

@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from repro.common.errors import ConfigError, expect
+from repro.common.errors import ConfigError, expect_close
 from repro.common.rng import make_rng
 from repro.core.machine import Machine
 from repro.isa import ops as isa
@@ -185,7 +185,4 @@ class FFT(ModelOneWorkload):
     def verify(self, machine: Machine) -> None:
         got = np.array(machine.read_array(self.work), dtype=complex)
         want = self.expected()
-        expect(
-            np.allclose(got, want, rtol=1e-9, atol=1e-9),
-            f"FFT mismatch: max err {np.max(np.abs(got - want))}",
-        )
+        expect_close(self.work.name, got, want, rtol=1e-9, atol=1e-9)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.errors import ConfigError, expect
+from repro.common.errors import ConfigError, expect_close
 from repro.common.rng import make_rng
 from repro.core.machine import Machine
 from repro.isa import ops as isa
@@ -219,10 +219,7 @@ class _LUBase(ModelOneWorkload):
         for i in range(n):
             for j in range(n):
                 got[i, j] = machine.read_word(self.mat.addr(i, j))
-        expect(
-            np.allclose(got, want, rtol=1e-9, atol=1e-9),
-            f"LU mismatch: max err {np.max(np.abs(got - want))}",
-        )
+        expect_close(self.mat.name, got, want, rtol=1e-9, atol=1e-9)
 
 
 @register_model_one

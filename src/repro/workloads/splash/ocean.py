@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.errors import expect
+from repro.common.errors import expect, expect_close
 from repro.common.rng import make_rng
 from repro.core.machine import Machine
 from repro.isa import ops as isa
@@ -134,10 +134,7 @@ class _OceanBase(ModelOneWorkload):
         for i in range(self.rows):
             for j in range(self.cols):
                 got[i, j] = machine.read_word(self.grid.addr(i, j))
-        expect(
-            np.allclose(got, want, rtol=1e-9, atol=1e-9),
-            f"Ocean grid mismatch: max err {np.max(np.abs(got - want))}",
-        )
+        expect_close(self.grid.name, got, want, rtol=1e-9, atol=1e-9)
         got_err = machine.read_word(self.err.addr(0))
         expect(
             abs(got_err - want_err) <= 1e-6 * max(1.0, abs(want_err)),

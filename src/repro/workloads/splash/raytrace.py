@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from repro.common.errors import expect
+from repro.common.errors import expect, expect_close
 from repro.common.rng import make_rng
 from repro.core.machine import Machine
 from repro.isa import ops as isa
@@ -155,7 +155,7 @@ class Raytrace(ModelOneWorkload):
         got = np.array(
             [machine.read_word(self.image.addr(p)) for p in range(self.n_pixels)]
         )
-        expect(np.allclose(got, want, rtol=1e-12, atol=1e-12), "Raytrace mismatch")
+        expect_close(self.image.name, got, want, rtol=1e-12, atol=1e-12)
         # The racy progress counters must each hold that thread's own final
         # tile count (last write wins; each cell has a single writer).
         total = sum(

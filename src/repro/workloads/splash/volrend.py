@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.errors import expect
+from repro.common.errors import expect_close
 from repro.common.rng import make_rng
 from repro.core.machine import Machine
 from repro.isa import ops as isa
@@ -125,4 +125,4 @@ class Volrend(ModelOneWorkload):
         got = np.array(
             [machine.read_word(self.image.addr(c)) for c in range(self.n_columns)]
         )
-        expect(np.allclose(got, want, rtol=1e-12, atol=1e-12), "Volrend mismatch")
+        expect_close(self.image.name, got, want, rtol=1e-12, atol=1e-12)

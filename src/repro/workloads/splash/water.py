@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.errors import expect
+from repro.common.errors import expect_close
 from repro.common.rng import make_rng
 from repro.core.machine import Machine
 from repro.isa import ops as isa
@@ -182,8 +182,8 @@ class _WaterBase(ModelOneWorkload):
         x, v = self.expected()
         got_x = np.array([machine.read_word(self.pos.addr(i)) for i in range(n)])
         got_v = np.array([machine.read_word(self.vel.addr(i)) for i in range(n)])
-        expect(np.allclose(got_x, x, rtol=1e-7, atol=1e-9), "Water pos mismatch")
-        expect(np.allclose(got_v, v, rtol=1e-7, atol=1e-9), "Water vel mismatch")
+        expect_close(self.pos.name, got_x, x, rtol=1e-7, atol=1e-9)
+        expect_close(self.vel.name, got_v, v, rtol=1e-7, atol=1e-9)
 
 
 @register_model_one

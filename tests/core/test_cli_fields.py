@@ -106,7 +106,7 @@ def test_spec_field_flags_default_to_none():
     ("sweep", ["run", "volrend", "--config", "B+M+I"],
      {"apps": ["volrend"], "configs": ["B+M+I"]}),
     ("gen", ["gen", "zipf_hot"], {"pattern": "zipf_hot"}),
-    ("litmus", ["litmus"], {"all": True}),
+    ("litmus", ["litmus"], {}),
     ("litmus matrix", ["litmus", "--matrix"], {"matrix": True}),
     ("chaos", ["chaos"], {}),
     ("lint", ["lint", "mp_flag"], {"workloads": ["mp_flag"]}),

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
+import numpy as np
 import pytest
 
 import repro.workloads
-from repro.common.errors import expect
+from repro.common.errors import expect, expect_close
 from repro.core.config import INTER_HCC, INTRA_HCC
 from repro.core.machine import Machine
+from repro.eval.runner import stage
+from repro.workloads.base import MODEL_ONE
 from repro.workloads.litmus import LITMUS, machine_params, spawn_litmus
 
 WORKLOADS = pathlib.Path(repro.workloads.__file__).parent
@@ -48,6 +52,66 @@ def test_expect_raises_assertion_error_with_its_message():
         expect(False, "a[{}] = {!r}, expected {!r}", 3, 1, 2)
     with pytest.raises(AssertionError, match=r"^plain \{\}$"):
         expect(False, "plain {}")
+
+
+def test_expect_close_names_array_index_and_values():
+    expect_close("a", [1.0, 2.0], [1.0, 2.0 + 1e-12], rtol=1e-9, atol=1e-9)
+    want = np.zeros((2, 3))
+    got = want.copy()
+    got[1, 2] = 0.5
+    got[1, 0] = -1.0
+    with pytest.raises(AssertionError, match=re.escape(
+        "m mismatch at flat index 3 [1, 0]: got -1.0, expected 0.0 "
+        "(2 of 6 elements differ; rtol=1e-07, atol=1e-08)"
+    )):
+        expect_close("m", got, want, rtol=1e-7, atol=1e-8)
+
+
+#: The arrays each SPLASH verifier compares, by workload attribute.
+_SPLASH_ARRAYS = {
+    "barnes": ("pos", "vel"),
+    "cholesky": ("mat",),
+    "fft": ("work",),
+    "lu_cont": ("mat",),
+    "lu_noncont": ("mat",),
+    "ocean_cont": ("grid",),
+    "ocean_noncont": ("grid",),
+    "raytrace": ("image",),
+    "volrend": ("image",),
+    "water_nsq": ("pos", "vel"),
+    "water_sp": ("pos", "vel"),
+}
+
+
+def test_splash_array_table_names_every_app():
+    assert set(_SPLASH_ARRAYS) == set(MODEL_ONE)
+
+
+@pytest.mark.parametrize("app", sorted(_SPLASH_ARRAYS))
+def test_splash_verifier_names_array_index_and_values(app):
+    """Corrupting the last element of each compared array fails the
+    verifier with the array's name, that element's flat index, the
+    observed value and the expected one."""
+    staged = stage("intra", app, INTRA_HCC, scale=0.25)
+    staged.run()  # the coherent outcome verifies
+    workload, machine = staged.handle, staged.machine
+    memory = machine.hier.memory
+    for attr in _SPLASH_ARRAYS[app]:
+        array = getattr(workload, attr)
+        last = array.addr(*(n - 1 for n in array.shape))
+        word = machine.hier.word_addr(last)
+        good = memory.read_word(word)
+        bad = good + 1 + abs(good)
+        memory.write_word(word, bad)
+        index = array.size - 1
+        with pytest.raises(AssertionError, match=re.escape(
+            f"{array.name} mismatch at flat index {index} "
+        ) + r".*" + re.escape(f": got {bad!r}, expected ")) as exc:
+            workload.verify(machine)
+        expected = complex(str(exc.value).split("expected ")[1].split(" (")[0])
+        assert abs(expected - good) <= 1e-6 * max(1.0, abs(good))
+        memory.write_word(word, good)
+    workload.verify(machine)
 
 
 class _ReadLog(dict):
