@@ -26,11 +26,11 @@ def observed_patterns(app: str) -> set[str]:
     workload.prepare(machine)
     machine.run()
     out: set[str] = set()
-    if machine.sync._barriers:
+    if machine.sync.table.barriers:
         out.add(Pattern.BARRIER)
-    if machine.sync._locks:
+    if machine.sync.table.locks:
         out.add(Pattern.CRITICAL)
-    if machine.sync._flags:
+    if machine.sync.table.flags:
         out.add(Pattern.FLAG)
     return out
 

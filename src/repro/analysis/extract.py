@@ -4,11 +4,14 @@ A Model-1 kernel is a Python generator over :mod:`repro.isa.ops`; the
 "program text" the static pass analyzes is the linear operation stream each
 thread produces.  This module obtains that stream *without running the cache
 simulator*: the spawned thread generators are driven by a sequentially
-consistent reference scheduler (flat word store, exact barrier/lock/flag
-semantics, no caches, no timing).  Because the store is sequentially
-consistent, loaded values — and therefore all value-dependent control flow —
-match what a correctly annotated program observes, so the recorded streams
-are a faithful unrolling of each thread's control-flow graph.
+consistent reference scheduler (flat word store, no caches, no timing)
+that grants barriers, locks and flags through the simulator's own
+:mod:`repro.sync.primitives` state machines, so a sync misuse raises the
+same :class:`~repro.common.errors.SyncError` a simulated run does.  Because
+the store is sequentially consistent, loaded values — and therefore all
+value-dependent control flow — match what a correctly annotated program
+observes, so the recorded streams are a faithful unrolling of each thread's
+control-flow graph.
 
 Interprocedural context comes for free from the generator machinery: at
 every yield the live ``yield from`` chain (workload program → ``ThreadCtx``
@@ -30,6 +33,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import AnalysisError
 from repro.isa import ops as isa
+from repro.sync.primitives import SyncTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.machine import Machine
@@ -138,14 +142,9 @@ class _Extractor:
         self.runnable: deque[int] = deque(t.tid for t in self.threads)
         self.seq = 0
         self.total_ops = 0
-        # Synchronization state mirroring repro.sync.primitives semantics.
-        self.barrier_count: dict[int, int] = {}
-        self.barrier_waiting: dict[int, list[int]] = {}
+        # The simulator's own sync state machines, stepped in SC order.
+        self.sync = SyncTable()
         self.barrier_round = 0
-        self.lock_holder: dict[int, int] = {}
-        self.lock_queue: dict[int, deque[int]] = {}
-        self.flag_value: dict[int, int] = {}
-        self.flag_waiting: dict[int, list[tuple[int, int]]] = {}
 
     # -- memory -------------------------------------------------------------
 
@@ -180,47 +179,17 @@ class _Extractor:
         )
         self.seq += 1
 
-    def _wake(self, tid: int) -> None:
+    def _complete(self, tid: int, group: int | None = None) -> None:
+        """Record *tid*'s pending sync op; wake the thread if it blocked."""
         thread = self.threads[tid]
-        thread.blocked = None
-        thread.pending = None
-        self.runnable.append(tid)
-
-    # -- sync completion helpers --------------------------------------------
-
-    def _complete_barrier(self, bid: int) -> None:
-        """Record one whole barrier round and wake every participant."""
-        group = self.barrier_round
-        self.barrier_round += 1
-        waiting = self.barrier_waiting.pop(bid)
-        for tid in sorted(waiting):
-            thread = self.threads[tid]
-            op, path = thread.pending  # type: ignore[misc]
-            self._record(thread, op, path, group=group)
-            if thread.blocked is not None:
-                self._wake(tid)
-            else:  # the last arriver was never blocked
-                thread.pending = None
-
-    def _grant_lock(self, lid: int, tid: int) -> None:
-        thread = self.threads[tid]
-        self.lock_holder[lid] = tid
-        thread.locks_held = thread.locks_held | {lid}
         op, path = thread.pending  # type: ignore[misc]
-        self._record(thread, op, path)
-        self._wake(tid)
-
-    def _settle_flag(self, fid: int) -> None:
-        value = self.flag_value.get(fid, 0)
-        waiting = self.flag_waiting.get(fid, [])
-        still = [(tid, th) for tid, th in waiting if th > value]
-        ready = [(tid, th) for tid, th in waiting if th <= value]
-        self.flag_waiting[fid] = still
-        for tid, _ in sorted(ready):
-            thread = self.threads[tid]
-            op, path = thread.pending  # type: ignore[misc]
-            self._record(thread, op, path)
-            self._wake(tid)
+        if type(op) is isa.LockAcquire:
+            thread.locks_held = thread.locks_held | {op.lid}
+        self._record(thread, op, path, group=group)
+        thread.pending = None
+        if thread.blocked is not None:
+            thread.blocked = None
+            self.runnable.append(tid)
 
     # -- the scheduler ------------------------------------------------------
 
@@ -331,82 +300,55 @@ class _Extractor:
     def _exec_barrier(
         self, thread: _Thread, op: isa.Barrier, path: tuple[str, ...]
     ) -> bool:
-        known = self.barrier_count.get(op.bid)
-        if known is not None and known != op.count:
-            raise AnalysisError(
-                f"barrier {op.bid} redeclared with count {op.count} != {known}"
-            )
-        self.barrier_count[op.bid] = op.count
-        waiting = self.barrier_waiting.setdefault(op.bid, [])
-        waiting.append(thread.tid)
         thread.pending = (op, path)
-        if len(waiting) == op.count:
-            self._complete_barrier(op.bid)
-            return thread.blocked is None and thread.pending is None
-        thread.blocked = f"barrier {op.bid}"
-        return False
+        released = self.sync.barrier(op.bid, op.count).arrive(thread.tid, None)
+        if released is None:
+            thread.blocked = f"barrier {op.bid}"
+            return False
+        group = self.barrier_round
+        self.barrier_round += 1
+        for tid in sorted(tid for tid, _ in released):
+            self._complete(tid, group)
+        return True
 
     def _exec_acquire(
         self, thread: _Thread, op: isa.LockAcquire, path: tuple[str, ...]
     ) -> bool:
-        holder = self.lock_holder.get(op.lid)
-        if holder is None:
-            self.lock_holder[op.lid] = thread.tid
-            thread.locks_held = thread.locks_held | {op.lid}
-            self._record(thread, op, path)
-            return True
-        if holder == thread.tid:
-            raise AnalysisError(
-                f"tid {thread.tid} re-acquired non-reentrant lock {op.lid}"
-            )
-        self.lock_queue.setdefault(op.lid, deque()).append(thread.tid)
         thread.pending = (op, path)
-        thread.blocked = f"lock {op.lid}"
-        return False
+        if not self.sync.lock(op.lid).acquire(thread.tid, None):
+            thread.blocked = f"lock {op.lid}"
+            return False
+        self._complete(thread.tid)
+        return True
 
     def _exec_release(
         self, thread: _Thread, op: isa.LockRelease, path: tuple[str, ...]
     ) -> bool:
-        if self.lock_holder.get(op.lid) != thread.tid:
-            raise AnalysisError(
-                f"tid {thread.tid} released lock {op.lid} held by "
-                f"{self.lock_holder.get(op.lid)!r}"
-            )
+        nxt = self.sync.lock(op.lid).release(thread.tid)
         thread.locks_held = thread.locks_held - {op.lid}
         self._record(thread, op, path)
-        queue = self.lock_queue.get(op.lid)
-        if queue:
-            self._grant_lock(op.lid, queue.popleft())
-        else:
-            del self.lock_holder[op.lid]
+        if nxt is not None:
+            self._complete(nxt[0])
         return True
 
     def _exec_flag_set(
         self, thread: _Thread, op: isa.FlagSet, path: tuple[str, ...]
     ) -> bool:
-        current = self.flag_value.get(op.fid, 0)
-        if op.value < current:
-            raise AnalysisError(
-                f"flag {op.fid} values are monotonic "
-                f"(have {current}, got {op.value})"
-            )
-        self.flag_value[op.fid] = op.value
+        ready = self.sync.flag(op.fid).set(op.value)
         self._record(thread, op, path)
-        self._settle_flag(op.fid)
+        for tid in sorted(tid for tid, _ in ready):
+            self._complete(tid)
         return True
 
     def _exec_flag_wait(
         self, thread: _Thread, op: isa.FlagWait, path: tuple[str, ...]
     ) -> bool:
-        if self.flag_value.get(op.fid, 0) >= op.value:
-            self._record(thread, op, path)
-            return True
-        self.flag_waiting.setdefault(op.fid, []).append(
-            (thread.tid, op.value)
-        )
         thread.pending = (op, path)
-        thread.blocked = f"flag {op.fid}"
-        return False
+        if not self.sync.flag(op.fid).wait(thread.tid, op.value, None):
+            thread.blocked = f"flag {op.fid}"
+            return False
+        self._complete(thread.tid)
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ included) as a cell argument; without it, ``$REPRO_ENGINE`` (else
 Memory-model selection: ``--model NAME`` picks the registered consistency
 backend (``base``, ``rc``, ``sisd``) for software-coherent configurations
 (see ``repro.models``; hardware-coherent Table II configs always run
-directory MESI).  It is the spec's ``model`` field; ``$REPRO_MODEL``
-(else ``base``) is the default.  Models are *not* bit-identical in
+directory MESI).  It is the spec's ``model`` field; ``base`` is the
+default.  Models are *not* bit-identical in
 timing, so the result cache keys on the effective model id.
 ``repro litmus --matrix`` is the conformance grid over every registered
 model.
@@ -108,17 +108,23 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    """One verified (workload, config) cell: a one-cell ``sweep`` job."""
+    """One verified (workload, config) cell: a one-cell ``sweep`` job.
+
+    A failed verify prints one ``APP under CFG: verify FAILED (msg)``
+    verdict line and exits 1 on both paths.
+    """
+    from repro.eval.parallel import SweepExecutor
     from repro.eval.runner import RunResult
+    from repro.serve.jobs import run_job
 
     app = args.workload
-    spec = spec_from_args("sweep", args)
+    job = _compile("sweep", spec_from_args("sweep", args))
+    [unit] = job.units
+    cell = unit.cell
     if args.staleness:
         from repro.eval.runner import stage
 
         # The job's one cell, staged with the stale-read detector on.
-        [unit] = _compile("sweep", spec).units
-        cell = unit.cell
         staged = stage(
             cell.kind, app, cell.config, detect_staleness=True,
             **dict(cell.kwargs),
@@ -138,10 +144,14 @@ def _cmd_run(args) -> int:
         for event in machine.stale_reads[:10]:
             print(f"  {event!r}")
         return 0 if n == 0 and failure is None else 1
-    doc, _ = _run("sweep", spec)
+    try:
+        doc = run_job(job, SweepExecutor(jobs=1))
+    except AssertionError as exc:
+        print(f"{app} under {cell.config.name}: verify FAILED ({exc})")
+        return 1
     [row] = doc["matrix"].values()
-    [cell] = row.values()
-    result = RunResult.from_dict(cell)
+    [entry] = row.values()
+    result = RunResult.from_dict(entry)
     stats = result.stats
     print(f"{app} under {result.config}: verified OK")
     print(f"  exec time     {stats.exec_time} cycles")

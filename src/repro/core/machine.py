@@ -87,8 +87,8 @@ class Machine:
         self.annotator = Annotator(config)
 
         #: Selected memory model (:mod:`repro.models`): ``model`` names a
-        #: registered :class:`~repro.models.ModelSpec` (``None`` falls back
-        #: to ``$REPRO_MODEL``, then ``base``).  Hardware-coherent Table II
+        #: registered :class:`~repro.models.ModelSpec` (``None`` is
+        #: ``base``).  Hardware-coherent Table II
         #: configurations always resolve to ``hcc`` — MESI *is* the model
         #: those configurations name, so sweeps can pass one model id to
         #: every cell, HCC reference cells included.

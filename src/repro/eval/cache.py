@@ -78,13 +78,13 @@ def describe_cell(cell: "SweepCell") -> dict:
     This is the exact payload the cache key hashes; it is also archived in
     each entry so users can inspect why a cell did (not) hit.
     """
-    from repro.models import DEFAULT_MODEL, MODEL_ENV_VAR
+    from repro.models import DEFAULT_MODEL
 
     kwargs = dict(cell.kwargs)
     machine = kwargs.pop("machine_params", None)
     plan = kwargs.pop("faults", None)
     # The *effective* memory model, resolved the way Machine resolves it
-    # (explicit kwarg, then $REPRO_MODEL, then the default) — unlike the
+    # (explicit kwarg, then the default) — unlike the
     # engine, models legitimately produce different statistics, so the key
     # must separate them.  Hardware-coherent configurations always run
     # MESI, so they all key as "hcc" regardless of the requested model.
@@ -92,7 +92,7 @@ def describe_cell(cell: "SweepCell") -> dict:
     if cell.config.hardware_coherent:
         model = "hcc"
     elif model is None:
-        model = os.environ.get(MODEL_ENV_VAR) or DEFAULT_MODEL
+        model = DEFAULT_MODEL
     # The kind's own layout resolves the defaults, so the key describes
     # exactly the machine the runner builds.
     subject = layout(cell.kind, cell.app, kwargs, machine)

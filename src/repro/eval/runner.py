@@ -263,7 +263,7 @@ def stage(
     *options* are the kind's own keys (``num_threads``; ``num_blocks`` and
     ``cores_per_block``; ``spec``; ``events``).  ``faults`` arms a
     :class:`repro.faults.model.FaultPlan`; ``model`` selects the memory
-    model (:mod:`repro.models`, default ``$REPRO_MODEL`` then ``base``).
+    model (:mod:`repro.models`, default ``base``).
     """
     subject = layout(kind, name, options, machine_params)
     if options:

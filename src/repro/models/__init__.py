@@ -28,16 +28,14 @@ sweep result cache (the model id is part of the cell key), and are
 differentially verified against the ``hcc`` oracle by ``repro litmus
 --matrix`` and the chaos runner.
 
-Selection mirrors :mod:`repro.engines`: pass ``model="rc"`` to
-:class:`repro.core.machine.Machine` (or ``--model rc`` on the CLI), or set
-``REPRO_MODEL``.  An explicit argument wins over the environment; the
-default is ``base``.  Hardware-coherent Table II configurations always
-resolve to ``hcc`` — HCC *is* a model, not a per-model variant.
+Pass ``model="rc"`` to :class:`repro.core.machine.Machine` (or
+``--model rc`` on the CLI); the default is ``base``.  Hardware-coherent
+Table II configurations always resolve to ``hcc`` — HCC *is* a model, not
+a per-model variant.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,10 +49,7 @@ from repro.core.config import ExperimentConfig
 from repro.models.rc import RegionalConsistencyProtocol
 from repro.models.sisd import SelfInvalidationProtocol
 
-#: Environment variable consulted when no explicit model is requested.
-MODEL_ENV_VAR = "REPRO_MODEL"
-
-#: Registry default (also used when ``REPRO_MODEL`` is unset or empty).
+#: The model a machine runs when none is requested.
 DEFAULT_MODEL = "base"
 
 #: Factory signature every registered model provides: build the protocol
@@ -99,14 +94,13 @@ def software_models() -> tuple[str, ...]:
 
 
 def resolve_model(name: str | None = None) -> ModelSpec:
-    """Resolve a model by *name*, the environment, or the default.
+    """Resolve a model by *name*; ``None`` is the default, ``base``.
 
-    ``None`` falls back to ``$REPRO_MODEL``, then to ``base``.  Unknown
-    names raise :class:`~repro.common.errors.ConfigError` listing the
-    registered models.
+    Unknown names raise :class:`~repro.common.errors.ConfigError` listing
+    the registered models.
     """
     if name is None:
-        name = os.environ.get(MODEL_ENV_VAR) or DEFAULT_MODEL
+        name = DEFAULT_MODEL
     spec = _REGISTRY.get(name)
     if spec is None:
         raise ConfigError(

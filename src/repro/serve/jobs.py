@@ -256,8 +256,8 @@ def _field_tables() -> dict[str, tuple[Field, ...]]:
                   low=1, ceiling=16),
             engine("simulator core of every cell"),
             model("memory model for the software-coherent cells (default: "
-                  "$REPRO_MODEL or base; HCC cells always run MESI); the "
-                  "result cache keys on it"),
+                  "base; HCC cells always run MESI); the result cache keys "
+                  "on it"),
             Field("memory_digest", bool, "record each cell's final-memory "
                   "digest", False),
         ),
@@ -284,8 +284,8 @@ def _field_tables() -> dict[str, tuple[Field, ...]]:
             kernels,
             Field("all", bool, "run every registered kernel, as when none "
                   "is named", False),
-            model("memory model for direct runs (default: $REPRO_MODEL or "
-                  "base)", choices=available_models),
+            model("memory model for direct runs (default: base)",
+                  choices=available_models),
             engine("simulator core for direct runs"),
         ),
         "litmus matrix": (
@@ -314,8 +314,7 @@ def _field_tables() -> dict[str, tuple[Field, ...]]:
             engine("simulator core of every chaos cell, the HCC reference "
                    "included"),
             model("memory model for the software-coherent chaos cells "
-                  "(default: $REPRO_MODEL or base); HCC reference cells are "
-                  "unaffected"),
+                  "(default: base); HCC reference cells are unaffected"),
         ),
         "lint": (
             Field("workloads", list, "workload or litmus-kernel names (see "

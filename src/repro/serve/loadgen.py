@@ -48,6 +48,27 @@ RETRYABLE_STATUS = (429, 503)
 EXHAUSTED = 599
 
 
+def round_trip(
+    host: str, port: int, method: str, path: str, body: dict | None = None,
+    *, client: str | None = None, timeout: float = 60.0,
+) -> tuple[int, dict]:
+    """One blocking HTTP round-trip; returns (status, parsed JSON)."""
+    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    try:
+        headers = {"Content-Type": "application/json"}
+        if client is not None:
+            headers["X-Repro-Client"] = client
+        conn.request(
+            method, path,
+            body=json.dumps(body) if body is not None else None,
+            headers=headers,
+        )
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read().decode())
+    finally:
+        conn.close()
+
+
 class LocalServer:
     """A JobServer running its own event loop on a daemon thread.
 
@@ -97,22 +118,10 @@ class LocalServer:
         *, client: str | None = None, timeout: float = 60.0,
     ) -> tuple[int, dict]:
         """One blocking HTTP round-trip; returns (status, parsed JSON)."""
-        conn = http.client.HTTPConnection(
-            self.config.host, self.port, timeout=timeout
+        return round_trip(
+            self.config.host, self.port, method, path, body,
+            client=client, timeout=timeout,
         )
-        try:
-            headers = {"Content-Type": "application/json"}
-            if client is not None:
-                headers["X-Repro-Client"] = client
-            conn.request(
-                method, path,
-                body=json.dumps(body) if body is not None else None,
-                headers=headers,
-            )
-            resp = conn.getresponse()
-            return resp.status, json.loads(resp.read().decode())
-        finally:
-            conn.close()
 
     def stream_events(self, job_id: str, *, timeout: float = 60.0) -> list[dict]:
         """Consume a job's chunked JSONL event stream to the end."""
@@ -201,25 +210,15 @@ class ResilientClient:
         client: str | None, timeout: float,
     ) -> tuple[int, dict]:
         """One raw round-trip; transport failures come back as status 0."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=timeout)
         try:
-            headers = {"Content-Type": "application/json"}
-            if client is not None:
-                headers["X-Repro-Client"] = client
-            conn.request(
-                method, path,
-                body=json.dumps(body) if body is not None else None,
-                headers=headers,
+            return round_trip(
+                self.host, self.port, method, path, body,
+                client=client, timeout=timeout,
             )
-            resp = conn.getresponse()
-            return resp.status, json.loads(resp.read().decode())
         except (OSError, http.client.HTTPException, ValueError) as exc:
             # Connection refused (server restarting), reset mid-exchange
             # (server SIGKILLed), or a torn JSON body: all retryable.
             return 0, {"error": f"{type(exc).__name__}: {exc}"}
-        finally:
-            conn.close()
 
     def request(
         self, method: str, path: str, body: dict | None = None,

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.common.errors import SyncError
 from repro.noc.mesh import Mesh
 from repro.sim.engine import Engine
 from repro.sim.stats import TrafficCat, MachineStats
-from repro.sync.primitives import BarrierState, FlagState, LockState
+from repro.sync.primitives import SyncTable
 
 #: Fixed controller occupancy per request (cycles).
 SERVICE_CYCLES = 3
@@ -45,9 +44,7 @@ class SyncController:
         #: Observability sinks (:mod:`repro.obs`); ``None`` means disabled.
         self.tracer = tracer
         self.metrics = metrics
-        self._locks: dict[int, LockState] = {}
-        self._barriers: dict[int, BarrierState] = {}
-        self._flags: dict[int, FlagState] = {}
+        self.table = SyncTable()
         # Per-(lid, core) arrival floor enforcing FIFO delivery on each
         # core's lock-message channel.  Release is fire-and-forget, so
         # without this a jittered release (armed fault runs) could be
@@ -87,11 +84,6 @@ class SyncController:
         # apart from coherence traffic (see TrafficCat.SYNC).
         self.stats.add_traffic(TrafficCat.SYNC, 1)
 
-    def _obs_request(self, what: str) -> None:
-        """Count one controller request in the metrics registry."""
-        if self.metrics is not None:
-            self.metrics.inc(f"sync.requests.{what}")
-
     def _obs_grant(self, what: str, core: int) -> None:
         """Trace one grant message leaving the controller (engine-timed)."""
         if self.tracer is not None:
@@ -101,51 +93,47 @@ class SyncController:
         if self.metrics is not None:
             self.metrics.inc(f"sync.grants.{what}")
 
-    # -- declarations -------------------------------------------------------------
-
-    def declare_barrier(self, bid: int, count: int) -> None:
-        existing = self._barriers.get(bid)
-        if existing is not None and existing.count != count:
-            raise SyncError(f"barrier {bid} redeclared with different count")
-        if existing is None:
-            self._barriers[bid] = BarrierState(count)
-
-    def _lock(self, lid: int) -> LockState:
-        lock = self._locks.get(lid)
-        if lock is None:
-            lock = self._locks[lid] = LockState()
-        return lock
-
-    def _flag(self, fid: int) -> FlagState:
-        flag = self._flags.get(fid)
-        if flag is None:
-            flag = self._flags[fid] = FlagState()
-        return flag
-
     # -- operations -----------------------------------------------------------------
     #
     # Every operation takes a `resume` callback invoked (via the engine) when
     # the requester may continue.  The caller measures its own stall time.
+    # `self.table` decides who is granted; `_request` and `_grant` send.
+
+    def _request(
+        self,
+        what: str,
+        core: int,
+        var_id: int,
+        at_controller: Callable[[], None],
+        lock: bool = False,
+    ) -> None:
+        """Send one request message; *at_controller* runs on its arrival."""
+        travel = self._one_way(core, var_id) + SERVICE_CYCLES
+        if lock:
+            travel = self._lock_travel(core, var_id, travel)
+        self._count_msg()
+        if self.metrics is not None:
+            self.metrics.inc(f"sync.requests.{what}")
+        self.engine.schedule(travel, at_controller)
+
+    def _grant(
+        self, what: str, var_id: int, core: int, resume: Callable[[], None]
+    ) -> None:
+        """Send one grant message back to *core*, which then resumes."""
+        self._count_msg()
+        self._obs_grant(what, core)
+        self.engine.schedule(self._one_way(core, var_id), resume)
 
     def barrier_arrive(
         self, core: int, bid: int, count: int, resume: Callable[[], None]
     ) -> None:
-        self.declare_barrier(bid, count)
-        travel = self._one_way(core, bid) + SERVICE_CYCLES
-        self._count_msg()
-        self._obs_request("barrier")
+        barrier = self.table.barrier(bid, count)
 
         def at_controller() -> None:
-            released = self._barriers[bid].arrive(core, resume)
-            if released is not None:
-                for waiter_core, waiter_resume in released:
-                    self._count_msg()
-                    self._obs_grant("barrier", waiter_core)
-                    self.engine.schedule(
-                        self._one_way(waiter_core, bid), waiter_resume
-                    )
+            for waiter in barrier.arrive(core, resume) or ():
+                self._grant("barrier", bid, *waiter)
 
-        self.engine.schedule(travel, at_controller)
+        self._request("barrier", core, bid, at_controller)
 
     def _lock_travel(self, core: int, lid: int, travel: int) -> int:
         """Clamp *travel* so (core -> lock lid) messages arrive in order."""
@@ -157,80 +145,56 @@ class SyncController:
         return arrival - self.engine.now
 
     def lock_acquire(self, core: int, lid: int, resume: Callable[[], None]) -> None:
-        travel = self._lock_travel(
-            core, lid, self._one_way(core, lid) + SERVICE_CYCLES
-        )
-        self._count_msg()
-        self._obs_request("lock_acquire")
+        lock = self.table.lock(lid)
 
         def at_controller() -> None:
-            granted = self._lock(lid).acquire(core, resume)
-            if granted:
-                self._count_msg()
-                self._obs_grant("lock", core)
-                self.engine.schedule(self._one_way(core, lid), resume)
-            # else: queued; the release path schedules the grant.
+            if lock.acquire(core, resume):
+                self._grant("lock", lid, core, resume)
+            # else: queued; the release path sends the grant.
 
-        self.engine.schedule(travel, at_controller)
+        self._request("lock_acquire", core, lid, at_controller, lock=True)
 
     def lock_release(self, core: int, lid: int, resume: Callable[[], None]) -> None:
-        travel = self._lock_travel(
-            core, lid, self._one_way(core, lid) + SERVICE_CYCLES
-        )
-        self._count_msg()
-        self._obs_request("lock_release")
+        lock = self.table.lock(lid)
 
         def at_controller() -> None:
-            nxt = self._lock(lid).release(core)
+            nxt = lock.release(core)
             if nxt is not None:
-                nxt_core, nxt_resume = nxt
-                self._count_msg()
-                self._obs_grant("lock", nxt_core)
-                self.engine.schedule(self._one_way(nxt_core, lid), nxt_resume)
+                self._grant("lock", lid, *nxt)
 
-        self.engine.schedule(travel, at_controller)
+        self._request("lock_release", core, lid, at_controller, lock=True)
         # The releaser does not wait for the controller: fire-and-forget.
         self.engine.schedule(1, resume)
 
     def flag_set(
         self, core: int, fid: int, value: int, resume: Callable[[], None]
     ) -> None:
-        travel = self._one_way(core, fid) + SERVICE_CYCLES
-        self._count_msg()
-        self._obs_request("flag_set")
+        flag = self.table.flag(fid)
 
         def at_controller() -> None:
-            ready = self._flag(fid).set(value)
-            for waiter_core, waiter_resume in ready:
-                self._count_msg()
-                self._obs_grant("flag", waiter_core)
-                self.engine.schedule(self._one_way(waiter_core, fid), waiter_resume)
+            for waiter in flag.set(value):
+                self._grant("flag", fid, *waiter)
 
-        self.engine.schedule(travel, at_controller)
+        self._request("flag_set", core, fid, at_controller)
         self.engine.schedule(1, resume)
 
     def flag_wait(
         self, core: int, fid: int, threshold: int, resume: Callable[[], None]
     ) -> None:
-        travel = self._one_way(core, fid) + SERVICE_CYCLES
-        self._count_msg()
-        self._obs_request("flag_wait")
+        flag = self.table.flag(fid)
 
         def at_controller() -> None:
-            satisfied = self._flag(fid).wait(core, threshold, resume)
-            if satisfied:
-                self._count_msg()
-                self._obs_grant("flag", core)
-                self.engine.schedule(self._one_way(core, fid), resume)
+            if flag.wait(core, threshold, resume):
+                self._grant("flag", fid, core, resume)
 
-        self.engine.schedule(travel, at_controller)
+        self._request("flag_wait", core, fid, at_controller)
 
     # -- inspection -------------------------------------------------------------------
 
     def lock_holder(self, lid: int) -> int | None:
-        lock = self._locks.get(lid)
+        lock = self.table.locks.get(lid)
         return lock.holder if lock else None
 
     def flag_value(self, fid: int) -> int:
-        flag = self._flags.get(fid)
+        flag = self.table.flags.get(fid)
         return flag.value if flag else 0

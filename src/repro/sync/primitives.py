@@ -4,8 +4,9 @@ The shared-cache controller queues synchronization requests and responds only
 when the requester may proceed: lock requests are granted FIFO, barrier
 requests are answered when the last participant arrives, and condition-flag
 waits are answered when the flag value reaches the requested threshold.
-These classes are pure state (no timing); :mod:`repro.sync.controller` adds
-placement and latency.
+These classes are pure state (no timing) and the only statement of who is
+granted, in what order, and which use is an error: :mod:`repro.sync.controller`
+adds placement and latency, and the lint extractor steps them in SC order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from typing import Callable
 from repro.common.errors import SyncError
 
 #: A waiter is (core id, resume callback); the controller schedules the call.
-Waiter = tuple[int, Callable[[], None]]
+#: The lint extractor passes ``None`` and wakes its threads by id.
+Resume = Callable[[], None] | None
+Waiter = tuple[int, Resume]
 
 
 @dataclass
@@ -27,7 +30,7 @@ class LockState:
     holder: int | None = None
     queue: deque[Waiter] = field(default_factory=deque)
 
-    def acquire(self, core: int, resume: Callable[[], None]) -> bool:
+    def acquire(self, core: int, resume: Resume) -> bool:
         """Try to take the lock; returns True when granted immediately."""
         if self.holder is None:
             self.holder = core
@@ -59,7 +62,7 @@ class BarrierState:
     arrived: list[Waiter] = field(default_factory=list)
     generation: int = 0
 
-    def arrive(self, core: int, resume: Callable[[], None]) -> list[Waiter] | None:
+    def arrive(self, core: int, resume: Resume) -> list[Waiter] | None:
         """Register arrival; returns the full waiter list when complete."""
         if self.count < 1:
             raise SyncError("barrier participant count must be >= 1")
@@ -79,7 +82,7 @@ class FlagState:
     """Monotonic condition variable: waiters resume once value >= threshold."""
 
     value: int = 0
-    waiters: list[tuple[int, int, Callable[[], None]]] = field(default_factory=list)
+    waiters: list[tuple[int, int, Resume]] = field(default_factory=list)
 
     def set(self, value: int) -> list[Waiter]:
         """Raise the flag value; returns waiters now satisfied."""
@@ -92,9 +95,39 @@ class FlagState:
         self.waiters = [(c, th, r) for c, th, r in self.waiters if th > value]
         return ready
 
-    def wait(self, core: int, threshold: int, resume: Callable[[], None]) -> bool:
+    def wait(self, core: int, threshold: int, resume: Resume) -> bool:
         """True when already satisfied; otherwise queue the waiter."""
         if self.value >= threshold:
             return True
         self.waiters.append((core, threshold, resume))
         return False
+
+
+class SyncTable:
+    """A run's synchronization variables, each created on first use."""
+
+    def __init__(self) -> None:
+        self.locks: dict[int, LockState] = {}
+        self.barriers: dict[int, BarrierState] = {}
+        self.flags: dict[int, FlagState] = {}
+
+    def lock(self, lid: int) -> LockState:
+        lock = self.locks.get(lid)
+        if lock is None:
+            lock = self.locks[lid] = LockState()
+        return lock
+
+    def flag(self, fid: int) -> FlagState:
+        flag = self.flags.get(fid)
+        if flag is None:
+            flag = self.flags[fid] = FlagState()
+        return flag
+
+    def barrier(self, bid: int, count: int) -> BarrierState:
+        """Barrier *bid*; every use must give its first use's count."""
+        bar = self.barriers.get(bid)
+        if bar is None:
+            bar = self.barriers[bid] = BarrierState(count)
+        elif bar.count != count:
+            raise SyncError(f"barrier {bid} redeclared: count {count} != {bar.count}")
+        return bar

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.common.errors import expect, expect_close
 from repro.common.rng import make_rng
+from repro.compiler.schedule import chunk_bounds
 from repro.core.machine import Machine
 from repro.isa import ops as isa
 from repro.workloads.base import ModelOneWorkload, Pattern, register_model_one
@@ -69,11 +70,8 @@ class _OceanBase(ModelOneWorkload):
 
     def _row_range(self, t: int, nt: int) -> tuple[int, int]:
         """Interior rows [lo, hi) handled by thread t (block distribution)."""
-        interior = self.rows - 2
-        base, extra = divmod(interior, nt)
-        lo = 1 + t * base + min(t, extra)
-        hi = lo + base + (1 if t < extra else 0)
-        return lo, hi
+        lo, hi = chunk_bounds(self.rows - 2, nt, t)
+        return 1 + lo, 1 + hi  # row 0 is the fixed boundary
 
     def _sweep(self, t, nt, parity):
         G = self._G

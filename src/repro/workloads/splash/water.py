@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.common.errors import expect_close
 from repro.common.rng import make_rng
+from repro.compiler.schedule import chunk_bounds
 from repro.core.machine import Machine
 from repro.isa import ops as isa
 from repro.workloads.base import ModelOneWorkload, Pattern, register_model_one
@@ -103,9 +104,7 @@ class _WaterBase(ModelOneWorkload):
         machine.spawn_all(self._program)
 
     def _own(self, t: int, nt: int) -> range:
-        base, extra = divmod(self.n_mol, nt)
-        lo = t * base + min(t, extra)
-        return range(lo, lo + base + (1 if t < extra else 0))
+        return range(*chunk_bounds(self.n_mol, nt, t))
 
     def _program(self, ctx):
         t, nt = ctx.tid, ctx.nthreads

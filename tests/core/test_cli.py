@@ -91,6 +91,22 @@ def test_run_staleness_reports_stale_reads_and_a_failed_verify(capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("extra", [[], ["--staleness"]])
+def test_run_failed_verify_prints_one_verdict_line(monkeypatch, capsys, extra):
+    """Both run paths turn a failed verify into one verdict line and exit 1."""
+    from repro.common.errors import expect
+    from repro.workloads.splash.volrend import Volrend
+
+    monkeypatch.setattr(
+        Volrend, "verify", lambda self, machine: expect(False, "injected")
+    )
+    assert main(["run", "volrend", "--scale", "0.25", *extra]) == 1
+    captured = capsys.readouterr()
+    verdict = "volrend under B+M+I: verify FAILED (injected)"
+    assert captured.out.splitlines()[0].startswith(verdict)
+    assert "Traceback" not in captured.out + captured.err
+
+
 def _fail_oracle(monkeypatch, name):
     """Make *name*'s self-checking oracle fail (in-process runs only)."""
     import dataclasses
@@ -150,15 +166,13 @@ def test_engine_and_model_flags_do_not_leak(tmp_path, capsys, monkeypatch):
     from repro.core.machine import Machine
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in ("REPRO_ENGINE", "REPRO_MODEL"):
-        monkeypatch.setenv(var, "")  # restored after the test either way
-        monkeypatch.delenv(var)
+    monkeypatch.setenv("REPRO_ENGINE", "")  # restored after the test either way
+    monkeypatch.delenv("REPRO_ENGINE")
     assert main(["fig11", "--scale", "0.25", "--jobs", "1",
                  "--engine", "fast", "--model", "rc"]) == 0
     assert main(["chaos", "--workload", "mp_flag", "--plans", "1",
                  "--jobs", "1", "--engine", "fast"]) == 0
     assert "REPRO_ENGINE" not in os.environ
-    assert "REPRO_MODEL" not in os.environ
 
     resolved = []
     init = Machine.__init__

@@ -72,10 +72,9 @@ def mask(text: str) -> str:
 def test_cli_text_matches_golden(golden, argv, status, tmp_path, capsys,
                                  monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in ("REPRO_ENGINE", "REPRO_MODEL"):
-        # Unset for the command, and restored afterwards whatever it does.
-        monkeypatch.setenv(var, "")
-        monkeypatch.delenv(var)
+    # Unset for the command, and restored afterwards whatever it does.
+    monkeypatch.setenv("REPRO_ENGINE", "")
+    monkeypatch.delenv("REPRO_ENGINE")
     assert main(argv) == status
     rendered = mask(capsys.readouterr().out)
     path = GOLDEN_DIR / golden

@@ -73,12 +73,10 @@ class TestCacheKey:
         )
         assert describe_cell(cell(config=INTRA_HCC))["memory_model"] == "hcc"
 
-    def test_env_model_resolves_into_key(self, monkeypatch):
-        from repro.models import MODEL_ENV_VAR
-
-        monkeypatch.setenv(MODEL_ENV_VAR, "rc")
-        assert cell_key(cell()) == cell_key(cell(model="rc"))
-        monkeypatch.delenv(MODEL_ENV_VAR)
+    def test_key_ignores_the_environment(self, monkeypatch):
+        # No environment variable selects the model: an unset model keys
+        # as the default whatever the process environment holds.
+        monkeypatch.setenv("REPRO_MODEL", "rc")
         assert cell_key(cell()) == cell_key(cell(model="base"))
 
 

@@ -143,7 +143,6 @@ class TestCpuLoops:
 
     def test_empty_env_takes_the_reference_loop(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "")
-        monkeypatch.setenv("REPRO_MODEL", "")
         assert self.fig12_loops() == {"reference": 16}  # 4 apps x 4 configs
 
     def test_fast_engine_takes_the_fused_loop(self):

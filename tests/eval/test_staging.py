@@ -71,8 +71,7 @@ PINNED = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_cell_key_is_pinned(name, monkeypatch):
-    monkeypatch.delenv("REPRO_MODEL", raising=False)
+def test_cell_key_is_pinned(name):
     cell, key = PINNED[name]
     assert cell_key(cell) == key
 

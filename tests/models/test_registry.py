@@ -10,7 +10,6 @@ from repro.common.params import intra_block_machine
 from repro.core.config import INTRA_BMI, INTRA_HCC
 from repro.models import (
     DEFAULT_MODEL,
-    MODEL_ENV_VAR,
     available_models,
     resolve_model,
 )
@@ -28,18 +27,11 @@ class TestRegistry:
     def test_all_four_models_registered_in_order(self):
         assert available_models() == ("base", "hcc", "rc", "sisd")
 
-    def test_default_resolution(self, monkeypatch):
-        monkeypatch.delenv(MODEL_ENV_VAR, raising=False)
+    def test_default_resolution(self):
         assert resolve_model(None).name == DEFAULT_MODEL == "base"
 
-    def test_env_fallback_and_explicit_override(self, monkeypatch):
-        monkeypatch.setenv(MODEL_ENV_VAR, "rc")
-        assert resolve_model(None).name == "rc"
-        # An explicit argument always wins over the environment.
+    def test_explicit_override(self):
         assert resolve_model("sisd").name == "sisd"
-        # An empty env var means unset, not a model named "".
-        monkeypatch.setenv(MODEL_ENV_VAR, "")
-        assert resolve_model(None).name == "base"
 
     def test_unknown_model_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown memory model"):

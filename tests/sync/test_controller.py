@@ -64,7 +64,7 @@ def test_barrier_count_mismatch_rejected():
     ctl, engine, _ = make()
     ctl.barrier_arrive(0, 0, 4, lambda: None)
     with pytest.raises(SyncError):
-        ctl.declare_barrier(0, 8)
+        ctl.barrier_arrive(1, 0, 8, lambda: None)
 
 
 def test_flag_wakes_waiters_in_value_order():
